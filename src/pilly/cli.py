@@ -93,6 +93,13 @@ def load_config_file(path: Path) -> dict:
     return out
 
 
+def _budget(file_cfg: dict, key: str, default: int) -> int:
+    val = file_cfg.get(key, default)
+    if type(val) is not int:
+        raise ValueError(f"{key} must be an integer, got {val!r}")
+    return val
+
+
 # ---------------------------------------------------------------------------
 # File elaboration
 
@@ -513,20 +520,21 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     cfg = Config()
     config_path = Path(args.config) if args.config else Path("pilly.toml")
-    if config_path.exists():
-        try:
+    try:
+        if config_path.exists():
             file_cfg = load_config_file(config_path)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        cfg.fuel = int(file_cfg.get("fuel", cfg.fuel))
-        cfg.y_unroll = int(file_cfg.get("y_unroll", cfg.y_unroll))
-        cfg.strict = bool(file_cfg.get("strict", cfg.strict))
-        cfg.catalog = file_cfg.get("catalog", cfg.catalog)
-    if args.fuel is not None:
-        cfg.fuel = args.fuel
-    if args.y_unroll is not None:
-        cfg.y_unroll = args.y_unroll
+            cfg.fuel = _budget(file_cfg, "fuel", cfg.fuel)
+            cfg.y_unroll = _budget(file_cfg, "y_unroll", cfg.y_unroll)
+            cfg.strict = bool(file_cfg.get("strict", cfg.strict))
+            cfg.catalog = file_cfg.get("catalog", cfg.catalog)
+        if args.fuel is not None:
+            cfg.fuel = args.fuel
+        if args.y_unroll is not None:
+            cfg.y_unroll = args.y_unroll
+        cfg.rewrite()  # rejects a budget out of range
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if args.strict:
         cfg.strict = True
     cfg.json_out = args.json

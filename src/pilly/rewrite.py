@@ -2,10 +2,14 @@
 
 One deterministic strategy: at each node in pre-order, try a beta step,
 then an eta contraction, then hoisting a let-form out of one of the
-node's linear child positions; otherwise recurse left to right.  Let
-hoisting never crosses a binder or a '!', so no scope side conditions
-arise.  Unrolling the fixed-point combinator is a separate operation
-that `equal` may spend an explicit budget on; `normalize` never unrolls.
+node's linear child positions; otherwise recurse left to right.  `step`
+defines it, one leftmost-outermost step at a time.  `normalize` makes
+the same contractions in the same order but resumes in place after each
+one instead of searching again from the root, and its fuel counts those
+leftmost-outermost steps.  Let hoisting never crosses a binder or a
+'!', so no scope side conditions arise.  Unrolling the fixed-point
+combinator is a separate operation that `equal` may spend an explicit
+budget on; `normalize` never unrolls.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (App, BangIntro, Bound, LetBang, LetStar, LetTensor,
-                     LinLam, Star, TensorPair, Term, TyApp, TyBound, TyLam, Y,
-                     instantiate_tm, instantiate_ty, shift, uses_bound_tm,
-                     uses_bound_ty)
+                     LinLam, Star, TensorPair, Term, TyApp, TyBound, TyLam,
+                     Var, Y, instantiate_tm, instantiate_ty, shift,
+                     uses_bound_tm, uses_bound_ty)
 
 
 @dataclass
@@ -27,6 +31,8 @@ class RewriteConfig:
     def __post_init__(self):
         if self.fuel <= 0:
             raise ValueError("fuel must be positive")
+        if self.y_unroll < 0:
+            raise ValueError("y_unroll must not be negative")
 
 
 class FuelExhausted(Exception):
@@ -150,75 +156,181 @@ def _hoist(t: Term) -> Term | None:
     return None
 
 
-def step(t: Term, eta: bool = True) -> Term | None:
-    """One leftmost-outermost rewrite step, or None if t is normal."""
-    r = _beta(t)
-    if r is not None:
-        return r
-    if eta:
-        r = _eta(t)
-        if r is not None:
-            return r
-    r = _hoist(t)
-    if r is not None:
-        return r
+# The children of each term class, in the order the strategy visits them;
+# every other class is a leaf.
+_KIDS = {
+    LinLam: ("body",), App: ("fn", "arg"), TensorPair: ("left", "right"),
+    BangIntro: ("body",), TyLam: ("body",), TyApp: ("fn",),
+    LetStar: ("scrut", "body"), LetTensor: ("scrut", "body"),
+    LetBang: ("scrut", "body"),
+}
+
+
+def _with_child(t: Term, i: int, c: Term) -> Term:
+    """`t` with its child number `i` (in `_KIDS` order) replaced by `c`."""
     if isinstance(t, LinLam):
-        b = step(t.body, eta)
-        return None if b is None else LinLam(t.hint, t.ty, b, t.span)
+        return LinLam(t.hint, t.ty, c, t.span)
     if isinstance(t, App):
-        f = step(t.fn, eta)
-        if f is not None:
-            return App(f, t.arg)
-        a = step(t.arg, eta)
-        return None if a is None else App(t.fn, a)
+        return App(c, t.arg) if i == 0 else App(t.fn, c)
     if isinstance(t, TensorPair):
-        l = step(t.left, eta)
-        if l is not None:
-            return TensorPair(l, t.right)
-        r2 = step(t.right, eta)
-        return None if r2 is None else TensorPair(t.left, r2)
+        return TensorPair(c, t.right) if i == 0 else TensorPair(t.left, c)
     if isinstance(t, BangIntro):
-        b = step(t.body, eta)
-        return None if b is None else BangIntro(b)
+        return BangIntro(c)
     if isinstance(t, TyLam):
-        b = step(t.body, eta)
-        return None if b is None else TyLam(t.hint, b, t.span)
+        return TyLam(t.hint, c, t.span)
     if isinstance(t, TyApp):
-        f = step(t.fn, eta)
-        return None if f is None else TyApp(f, t.ty)
+        return TyApp(c, t.ty)
     if isinstance(t, LetStar):
-        s = step(t.scrut, eta)
-        if s is not None:
-            return LetStar(s, t.body)
-        b = step(t.body, eta)
-        return None if b is None else LetStar(t.scrut, b)
+        return LetStar(c, t.body) if i == 0 else LetStar(t.scrut, c)
     if isinstance(t, LetTensor):
-        s = step(t.scrut, eta)
-        if s is not None:
-            return LetTensor(t.hintx, t.hinty, t.tyx, t.tyy, s, t.body)
-        b = step(t.body, eta)
-        if b is None:
-            return None
-        return LetTensor(t.hintx, t.hinty, t.tyx, t.tyy, t.scrut, b)
-    if isinstance(t, LetBang):
-        s = step(t.scrut, eta)
-        if s is not None:
-            return LetBang(t.hint, t.ty, s, t.body)
-        b = step(t.body, eta)
-        return None if b is None else LetBang(t.hint, t.ty, t.scrut, b)
+        s, b = (c, t.body) if i == 0 else (t.scrut, c)
+        return LetTensor(t.hintx, t.hinty, t.tyx, t.tyy, s, b)
+    s, b = (c, t.body) if i == 0 else (t.scrut, c)
+    return LetBang(t.hint, t.ty, s, b)
+
+
+def _first(t: Term, rewrite) -> Term | None:
+    """Rewrite the first subterm, in pre-order, for which `rewrite` gives
+    a replacement; None if there is none."""
+    r = rewrite(t)
+    if r is not None:
+        return r
+    for i, name in enumerate(_KIDS.get(type(t), ())):
+        c = _first(getattr(t, name), rewrite)
+        if c is not None:
+            return _with_child(t, i, c)
     return None
 
 
+def _any(t: Term, pred) -> bool:
+    """Whether some subterm satisfies `pred`."""
+    if pred(t):
+        return True
+    for name in _KIDS.get(type(t), ()):
+        if _any(getattr(t, name), pred):
+            return True
+    return False
+
+
+# Classes none of whose nodes is a redex.
+_INERT = frozenset({Var, Bound, Star, Y, BangIntro})
+
+
+def _local(t: Term, eta: bool) -> Term | None:
+    """The contractum of a redex at the root of t: beta, eta, then hoisting."""
+    if type(t) in _INERT:
+        return None
+    r = _beta(t)
+    if r is None and eta:
+        r = _eta(t)
+    return _hoist(t) if r is None else r
+
+
+def step(t: Term, eta: bool = True) -> Term | None:
+    """One leftmost-outermost rewrite step, or None if t is normal.
+
+    This is the strategy's definition: the first node in pre-order whose
+    own test (`_beta`, then `_eta`, then `_hoist`) succeeds is contracted.
+    `normalize` makes the same contractions in the same order.
+    """
+    return _first(t, lambda x: _local(x, eta))
+
+
+def _eta_shaped(binder: Term, body: Term) -> bool:
+    """A binder whose body applies a function to the bound variable; it
+    becomes an eta redex when its function part stops using that variable."""
+    if isinstance(binder, LinLam):
+        return (isinstance(body, App) and isinstance(body.arg, Bound)
+                and body.arg.index == 0)
+    return (isinstance(binder, TyLam) and isinstance(body, TyApp)
+            and isinstance(body.ty, TyBound) and body.ty.index == 0)
+
+
+def _climb(frame: list, child: Term) -> Term:
+    """The frame's node with `child` in the frame's position, rebuilt only
+    if that child changed; the frame keeps the rebuilt node."""
+    node, i = frame
+    if getattr(node, _KIDS[type(node)][i]) is not child:
+        node = frame[0] = _with_child(node, i, child)
+    return node
+
+
+def _plug(path: list[list], t: Term) -> Term:
+    for frame in reversed(path):
+        t = _climb(frame, t)
+    return t
+
+
+def _retest(path: list[list], anchors: list[int], t: Term,
+            eta: bool) -> tuple[Term, Term | None]:
+    """After a contraction put `t` at the focus, find the next redex if it
+    is an ancestor: the parent and grandparent, whose own tests look at
+    most two levels down, and the eta-shaped binders whose function part
+    holds the focus.  Outermost first; an ancestor that fires becomes the
+    focus.  Otherwise the redex, if any, is at the focus itself."""
+    d = len(path)
+    cands = [i for i in anchors if i < d - 2]
+    cands += [i for i in (d - 2, d - 1) if i >= 0]
+    if cands:
+        _plug(path[cands[0]:], t)  # the frames keep the rebuilt nodes
+        for i in cands:
+            node = path[i][0]
+            r = _local(node, eta)
+            if r is not None:
+                del path[i:]
+                while anchors and anchors[-1] >= i - 1:
+                    anchors.pop()
+                return node, r
+    return t, _local(t, eta)
+
+
 def normalize(t: Term, cfg: RewriteConfig | None = None) -> Term:
+    """The normal form the `step` loop reaches from t, within cfg.fuel steps.
+
+    The walk resumes in place: it keeps the focus and its ancestors (a
+    zipper), so after a contraction only the ancestors whose tests can
+    have changed are tested again, and ancestors are rebuilt when the walk
+    climbs back up.  Raises FuelExhausted carrying the term after
+    cfg.fuel steps if that is not normal.
+    """
     cfg = cfg or RewriteConfig()
-    for i in range(cfg.fuel):
-        nxt = step(t, cfg.eta)
-        if nxt is None:
-            return t
-        t = nxt
-    if step(t, cfg.eta) is None:
-        return t
-    raise FuelExhausted(t, cfg.fuel)
+    eta, fuel = cfg.eta, cfg.fuel
+    steps = 0
+    path: list[list] = []  # frames [node, i]: the focus is node's child i
+    # depths of the eta-shaped binders whose body's function part is on
+    # the path
+    anchors: list[int] = []
+    red = _local(t, eta)
+    while True:
+        if red is not None:
+            if steps == fuel:
+                raise FuelExhausted(_plug(path, t), fuel)
+            steps += 1
+            t, red = _retest(path, anchors, red, eta)
+            continue
+        kids = _KIDS.get(type(t))
+        if kids:
+            if eta and path and _eta_shaped(path[-1][0], t):
+                anchors.append(len(path) - 1)
+            path.append([t, 0])
+            t = getattr(t, kids[0])
+        else:
+            while True:
+                if not path:
+                    return t
+                frame = path[-1]
+                if anchors and anchors[-1] == len(path) - 2:
+                    anchors.pop()  # the focus leaves the function part
+                node = _climb(frame, t)
+                i = frame[1] + 1
+                kids = _KIDS[type(node)]
+                if i < len(kids):
+                    frame[1] = i
+                    t = getattr(node, kids[i])
+                    break
+                path.pop()
+                t = node
+        red = _local(t, eta)
 
 
 def _is_y_redex(t: Term) -> bool:
@@ -228,92 +340,19 @@ def _is_y_redex(t: Term) -> bool:
 
 def unroll_y(t: Term) -> Term:
     """Unfold one outermost `Y [s] (!f)` to `f !(Y [s] (!f))`."""
-
-    def go(x: Term) -> Term | None:
-        if _is_y_redex(x):
-            return App(x.arg.body, BangIntro(x))
-        if isinstance(x, LinLam):
-            b = go(x.body)
-            return None if b is None else LinLam(x.hint, x.ty, b)
-        if isinstance(x, App):
-            f = go(x.fn)
-            if f is not None:
-                return App(f, x.arg)
-            a = go(x.arg)
-            return None if a is None else App(x.fn, a)
-        if isinstance(x, TensorPair):
-            l = go(x.left)
-            if l is not None:
-                return TensorPair(l, x.right)
-            r = go(x.right)
-            return None if r is None else TensorPair(x.left, r)
-        if isinstance(x, BangIntro):
-            b = go(x.body)
-            return None if b is None else BangIntro(b)
-        if isinstance(x, TyLam):
-            b = go(x.body)
-            return None if b is None else TyLam(x.hint, b)
-        if isinstance(x, TyApp):
-            f = go(x.fn)
-            return None if f is None else TyApp(f, x.ty)
-        if isinstance(x, LetStar):
-            s = go(x.scrut)
-            if s is not None:
-                return LetStar(s, x.body)
-            b = go(x.body)
-            return None if b is None else LetStar(x.scrut, b)
-        if isinstance(x, LetTensor):
-            s = go(x.scrut)
-            if s is not None:
-                return LetTensor(x.hintx, x.hinty, x.tyx, x.tyy, s, x.body)
-            b = go(x.body)
-            if b is None:
-                return None
-            return LetTensor(x.hintx, x.hinty, x.tyx, x.tyy, x.scrut, b)
-        if isinstance(x, LetBang):
-            s = go(x.scrut)
-            if s is not None:
-                return LetBang(x.hint, x.ty, s, x.body)
-            b = go(x.body)
-            return None if b is None else LetBang(x.hint, x.ty, x.scrut, b)
-        return None
-
-    out = go(t)
+    out = _first(t, lambda x: App(x.arg.body, BangIntro(x))
+                 if _is_y_redex(x) else None)
     if out is None:
         raise NoYRedex("no Y redex to unroll")
     return out
 
 
 def _contains_y(t: Term) -> bool:
-    if isinstance(t, Y):
-        return True
-    if isinstance(t, (LinLam, BangIntro, TyLam)):
-        return _contains_y(t.body)
-    if isinstance(t, App):
-        return _contains_y(t.fn) or _contains_y(t.arg)
-    if isinstance(t, TensorPair):
-        return _contains_y(t.left) or _contains_y(t.right)
-    if isinstance(t, TyApp):
-        return _contains_y(t.fn)
-    if isinstance(t, (LetStar, LetTensor, LetBang)):
-        return _contains_y(t.scrut) or _contains_y(t.body)
-    return False
+    return _any(t, lambda x: isinstance(x, Y))
 
 
 def _has_y_redex(t: Term) -> bool:
-    if _is_y_redex(t):
-        return True
-    if isinstance(t, (LinLam, BangIntro, TyLam)):
-        return _has_y_redex(t.body)
-    if isinstance(t, App):
-        return _has_y_redex(t.fn) or _has_y_redex(t.arg)
-    if isinstance(t, TensorPair):
-        return _has_y_redex(t.left) or _has_y_redex(t.right)
-    if isinstance(t, TyApp):
-        return _has_y_redex(t.fn)
-    if isinstance(t, (LetStar, LetTensor, LetBang)):
-        return _has_y_redex(t.scrut) or _has_y_redex(t.body)
-    return False
+    return _any(t, _is_y_redex)
 
 
 def equal(a: Term, b: Term, cfg: RewriteConfig | None = None,
@@ -345,17 +384,19 @@ def equal(a: Term, b: Term, cfg: RewriteConfig | None = None,
         return Equal(nfa[0])
     try:
         for _ in range(cfg.y_unroll):
-            grew = False
+            na, nb = len(nfa), len(nfb)
             if _has_y_redex(nfa[-1]):
                 nfa.append(normalize(unroll_y(nfa[-1]), cfg))
-                grew = True
             if _has_y_redex(nfb[-1]):
                 nfb.append(normalize(unroll_y(nfb[-1]), cfg))
-                grew = True
-            if not grew:
+            if len(nfa) == na and len(nfb) == nb:
                 break
-            if any(x == y for x in nfa for y in nfb):
-                wit = next(x for x in nfa for y in nfb if x == y)
+            # The witness is the first x in nfa equal to some y in nfb.
+            # Pairs compared in earlier rounds all differ, so an old x can
+            # only equal a new y.
+            wit = next((x for i, x in enumerate(nfa)
+                        if x in (nfb if i >= na else nfb[nb:])), None)
+            if wit is not None:
                 return Equal(wit)
     except FuelExhausted:
         return Unknown("fuel")

@@ -8,7 +8,10 @@ is excluded from equality, so dataclass `==` is alpha-equivalence.
 
 All public constructors expect locally closed arguments (no dangling
 indices); the index-shifting primitives at the bottom are for internal
-use by the rewriter and checker.
+use by the rewriter and checker.  Each type and term node caches, on
+first use and outside its dataclass fields, one more than its largest
+loose index in each namespace, so shifting and instantiation return a
+subtree they cannot change without walking it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ def _span():
 
 class Type:
     __slots__ = ()
+    _lb = None  # cached loose bounds, see _loose; not a dataclass field
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,7 @@ class TyConst(Type):
 
 class Term:
     __slots__ = ()
+    _lb = None  # cached loose bounds, see _loose; not a dataclass field
 
 
 @dataclass(frozen=True)
@@ -385,7 +390,18 @@ Env = tuple[int, int, int]
 
 
 class VarMap:
-    """Identity transformation; subclasses hook the six variable cases."""
+    """Identity transformation; subclasses hook the six variable cases.
+
+    A map whose hooks change nothing free and only bound indices at or
+    above `depth + ty_from` (type namespace) and `depth + tm_from` (term
+    namespace) sets `skips`; `map_type`/`map_term` then return a subtree
+    with no such loose index as it is, without walking it.  None means
+    the map changes no index in that namespace.
+    """
+
+    skips = False
+    ty_from: int | None = 0
+    tm_from: int | None = 0
 
     def ty_free(self, node: TyVar, env: Env) -> Type:
         return node
@@ -406,6 +422,74 @@ class VarMap:
         return node
 
 
+_CLOSED = (0, 0)
+
+
+def _loose(n: Type | Term) -> tuple[int, int]:
+    """(1 + largest loose type index, 1 + largest loose term index) of a
+    type or term, 0 where there is none; computed once per node and cached
+    outside the dataclass fields."""
+    lb = n._lb
+    if lb is None:
+        lb = _LOOSE_OF[type(n)](n)
+        object.__setattr__(n, "_lb", lb)
+    return lb
+
+
+def _join(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    if a is _CLOSED or a == b:
+        return b
+    if b is _CLOSED:
+        return a
+    return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+def _under(lb: tuple[int, int], tys: int, tms: int) -> tuple[int, int]:
+    """Loose bounds of a binder of `tys` type and `tms` term variables
+    whose body has loose bounds `lb`."""
+    ty, tm = max(lb[0] - tys, 0), max(lb[1] - tms, 0)
+    return (ty, tm) if ty or tm else _CLOSED
+
+
+def _loose_opt(n: Type | None) -> tuple[int, int]:
+    return _CLOSED if n is None else _loose(n)
+
+
+def _loose_const(n: TyConst) -> tuple[int, int]:
+    lb = _CLOSED
+    for a in n.args:
+        lb = _join(lb, _loose(a))
+    return lb
+
+
+# Leaves hold their bounds on the class: closed, or read off the index.
+TyVar._lb = Unit._lb = Var._lb = Star._lb = Y._lb = _CLOSED
+TyBound._lb = property(lambda n: (n.index + 1, 0))
+Bound._lb = property(lambda n: (0, n.index + 1))
+
+# How each other class's loose bounds follow from its children's.
+_LOOSE_OF = {
+    Lolli: lambda n: _join(_loose(n.dom), _loose(n.cod)),
+    Tensor: lambda n: _join(_loose(n.left), _loose(n.right)),
+    Bang: lambda n: _loose(n.body),
+    Forall: lambda n: _under(_loose(n.body), 1, 0),
+    TyConst: _loose_const,
+    LinLam: lambda n: _join(_loose(n.ty), _under(_loose(n.body), 0, 1)),
+    App: lambda n: _join(_loose(n.fn), _loose(n.arg)),
+    TensorPair: lambda n: _join(_loose(n.left), _loose(n.right)),
+    BangIntro: lambda n: _loose(n.body),
+    TyLam: lambda n: _under(_loose(n.body), 1, 0),
+    TyApp: lambda n: _join(_loose(n.fn), _loose(n.ty)),
+    LetStar: lambda n: _join(_loose(n.scrut), _loose(n.body)),
+    LetTensor: lambda n: _join(
+        _join(_loose_opt(n.tyx), _loose_opt(n.tyy)),
+        _join(_loose(n.scrut), _under(_loose(n.body), 0, 2))),
+    LetBang: lambda n: _join(
+        _loose_opt(n.ty),
+        _join(_loose(n.scrut), _under(_loose(n.body), 0, 1))),
+}
+
+
 def map_type(t: Type, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Type:
     env = (td, md, rd)
     if isinstance(t, TyVar):
@@ -413,6 +497,8 @@ def map_type(t: Type, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Type:
     if isinstance(t, TyBound):
         return m.ty_bound(t, env)
     if isinstance(t, Unit):
+        return t
+    if m.skips and (m.ty_from is None or _loose(t)[0] <= td + m.ty_from):
         return t
     if isinstance(t, Lolli):
         d = map_type(t.dom, m, td, md, rd)
@@ -444,6 +530,11 @@ def map_term(t: Term, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Term:
         return m.tm_bound(t, env)
     if isinstance(t, (Star, Y)):
         return t
+    if m.skips:
+        ty, tm = t._lb or _loose(t)
+        if ((m.ty_from is None or ty <= td + m.ty_from)
+                and (m.tm_from is None or tm <= md + m.tm_from)):
+            return t
     if isinstance(t, LinLam):
         ty = map_type(t.ty, m, td, md, rd)
         b = map_term(t.body, m, td, md + 1, rd)
@@ -714,10 +805,14 @@ def contains_const(obj: Node) -> bool:
 
 
 class _Shift(VarMap):
+    skips = True
+
     def __init__(self, ty_by, tm_by, rel_by):
         self.ty_by = ty_by
         self.tm_by = tm_by
         self.rel_by = rel_by
+        self.ty_from = 0 if ty_by else None
+        self.tm_from = 0 if tm_by else None
 
     def ty_bound(self, node, env):
         if self.ty_by and node.index >= env[0]:
@@ -748,6 +843,9 @@ def shift(obj: Node, ty_by: int = 0, tm_by: int = 0, rel_by: int = 0,
 
 
 class _InstTm(VarMap):
+    skips = True
+    ty_from = None
+
     def __init__(self, args: Sequence[Term]):
         self.args = args
         self.n = len(args)
@@ -772,6 +870,9 @@ def instantiate_tm(body: Node, *args: Term) -> Node:
 
 
 class _InstTy(VarMap):
+    skips = True
+    tm_from = None
+
     def __init__(self, tys: Sequence[Type]):
         self.tys = tys
         self.n = len(tys)
@@ -793,6 +894,9 @@ def instantiate_ty(body: Node, *tys: Type) -> Node:
 
 
 class _InstRel(VarMap):
+    skips = True
+    ty_from = tm_from = None  # types and terms hold no relation variables
+
     def __init__(self, rels: Sequence[Relation]):
         self.rels = rels
         self.n = len(rels)
@@ -860,10 +964,14 @@ def close_rel(obj: Node, name: str) -> Node:
 
 
 class _UsesBound(VarMap):
+    skips = True
+
     def __init__(self, ns: str, k: int):
         self.ns = ns
         self.k = k
         self.found = False
+        self.ty_from = k if ns == "ty" else None
+        self.tm_from = k if ns == "tm" else None
 
     def ty_bound(self, node, env):
         if self.ns == "ty" and node.index == env[0] + self.k:

@@ -115,6 +115,26 @@ class TestNormalize:
         assert main(["--fuel", "1", "normalize", f, "t"]) == 0  # warn only
         assert main(["--fuel", "1", "--strict", "normalize", f, "t"]) == 1
 
+    @pytest.mark.parametrize("flags", [["--fuel", "0"], ["--fuel", "-3"],
+                                       ["--y-unroll", "-1"]])
+    def test_bad_budget_flag_is_usage_error(self, write, capsys, flags):
+        f = write("n.pilly", "term t = (fn x:I. x) <>\n")
+        assert main(flags + ["normalize", f, "t"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "internal" not in err
+
+    @pytest.mark.parametrize("text", ["fuel = 0\n", "fuel = -3\n",
+                                      "fuel = lots\n", "y_unroll = -1\n",
+                                      "y_unroll = true\n"])
+    def test_bad_budget_in_config_is_usage_error(self, write, tmp_path,
+                                                 capsys, text):
+        cfgp = tmp_path / "pilly.toml"
+        cfgp.write_text(text)
+        f = write("n.pilly", "term t = (fn x:I. x) <>\n")
+        assert main(["--config", str(cfgp), "normalize", f, "t"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "internal" not in err
+
 
 class TestEqual:
     def test_equal_expressions(self, write):

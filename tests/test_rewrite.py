@@ -214,3 +214,112 @@ class TestUnrollPreservesTyping:
         j, ty = b.combinators["iso"]
         got = infer_type(TermContext(), unroll_y(j)).ty
         assert got == ty
+
+
+# --- the resuming normalizer against its specification, the `step` loop
+
+
+def step_loop(t, eta=True):
+    """(normal form, steps taken, term one step before it) by `step`."""
+    n, prev = 0, None
+    while True:
+        nxt = step(t, eta)
+        if nxt is None:
+            return t, n, prev
+        prev, t, n = t, nxt, n + 1
+
+
+def assert_like_step_loop(t, eta=True):
+    nf, n, prev = step_loop(t, eta)
+    assert normalize(t, RewriteConfig(fuel=max(n, 1), eta=eta)) == nf
+    if n >= 2:
+        with pytest.raises(FuelExhausted) as e:
+            normalize(t, RewriteConfig(fuel=n - 1, eta=eta))
+        assert e.value.term == prev and e.value.steps == n - 1
+    return n
+
+
+def _eta_blocked_by(inner):
+    """fn x:I. f !(... inner ...) x, with inner three or more levels below
+    the binder; inner mentions x, and contracting it drops x."""
+    return S.LinLam("x", Unit(), S.App(S.App(S.Var("f"), S.BangIntro(inner)),
+                                       S.Bound(0)))
+
+
+def _ty_eta_blocked_by(inner):
+    return S.TyLam("a", S.TyApp(S.App(S.Var("f"), S.BangIntro(inner)),
+                                S.TyBound(0)))
+
+
+# let !y = !x in z: the let ! discards x
+_DROP_X = S.LetBang("y", None, S.BangIntro(S.Bound(0)), S.Var("z"))
+# (/\b. fn w:I. w) [a]: the type beta discards a
+_DROP_A = S.TyApp(S.TyLam("b", S.LinLam("w", Unit(), S.Bound(0))),
+                  S.TyBound(0))
+
+# (term, normal form, steps): each first contracts a redex below a node
+# that then becomes an eta redex; two levels below, only the grandparent's
+# own test sees it, three or more below only an eta-shaped binder's
+ETA_EXPOSED = [
+    (parse_term("let !y = t in !((fn w:I. w) y)"), "t", 2),
+    (parse_term("fn x:I. f ((fn w:I. w) x)"), "f", 2),
+    (parse_term("let x (*) y = t in ((fn w:I. w) x) (*) y"), "t", 2),
+    (_eta_blocked_by(_DROP_X), "f !z", 2),
+    (_eta_blocked_by(S.TensorPair(S.Star(), _DROP_X)), "f !(<> (*) z)", 3),
+    (_eta_blocked_by(S.BangIntro(S.BangIntro(_DROP_X))), "f !!!z", 2),
+    (_ty_eta_blocked_by(_DROP_A), "f !(fn w:I. w)", 2),
+    (_ty_eta_blocked_by(S.BangIntro(S.App(S.Var("g"), _DROP_A))),
+     "f !!(g (fn w:I. w))", 2),
+    (_ty_eta_blocked_by(S.App(S.Var("g"), S.BangIntro(
+        S.TyApp(S.TyLam("c", S.Star()), S.TyBound(0))))), "f !(g !<>)", 2),
+    # nested binders: the type beta exposes the outer one, whose eta
+    # step leaves the inner one to be exposed by the let ! beta
+    (S.TyLam("a", S.TyApp(_eta_blocked_by(S.TyApp(S.TyLam("c", _DROP_X),
+                                                  S.TyBound(0))),
+                          S.TyBound(0))), "f !z", 4),
+]
+
+
+class TestResumingNormalizer:
+    @pytest.mark.parametrize("eta", [True, False])
+    def test_fuzz_corpus_matches_step_loop(self, eta):
+        rng = random.Random(44)
+        steps = 0
+        for _ in range(200):
+            _, t, _ = gen_well_typed(rng, rng.choice([3, 4, 5, 6]))
+            steps += assert_like_step_loop(t, eta)
+        assert steps > 500
+
+    def test_catalog_laws_match_step_loop(self):
+        from pilly import encodings as E
+        for b in E.catalog().values():
+            for _, lhs, rhs in b.beta_laws:
+                assert_like_step_loop(lhs)
+                assert_like_step_loop(rhs)
+
+    @pytest.mark.parametrize("k, steps", [(0, 0), (1, 8), (2, 15), (7, 70),
+                                          (20, 330), (60, 2190)])
+    def test_numerals_match_step_loop(self, k, steps):
+        from pilly import encodings as E
+        assert assert_like_step_loop(E.numeral(k)) == steps
+
+    @pytest.mark.parametrize("t, want, steps", ETA_EXPOSED)
+    def test_deep_contraction_exposes_an_eta_redex(self, t, want, steps):
+        assert step_loop(t)[:2] == (parse_term(want), steps)
+        assert_like_step_loop(t)
+
+    def test_eta_stays_blocked_while_the_variable_is_used(self):
+        t = _eta_blocked_by(S.TensorPair(S.Bound(0), _DROP_X))
+        nf = step_loop(t)[0]
+        assert nf == _eta_blocked_by(S.TensorPair(S.Bound(0), S.Var("z")))
+        assert_like_step_loop(t)
+
+    def test_norm_term_keeps_the_fuel_cut_term(self, monkeypatch):
+        from pilly import encodings as E
+        from pilly import relations
+        monkeypatch.setattr(relations, "_NF_CFG", RewriteConfig(fuel=7))
+        t = E.numeral(5)
+        want = t
+        for _ in range(7):
+            want = step(want)
+        assert relations._norm_term(t) == want

@@ -5,12 +5,13 @@ fresh binder names, replaces textually, and converts back; capture is
 impossible because every binder is renamed first.
 """
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from conftest import gen_scoped_term, gen_type
+from conftest import gen_scoped_term, gen_type, gen_well_typed
 from pilly import syntax as S
 from pilly.parser import parse_term, parse_type
 from pilly.syntax import (Bang, Forall, Lolli, Tensor, TyVar, Unit,
@@ -200,3 +201,120 @@ class TestRelSignature:
         dom, cod = S.rel_signature(tr)
         assert dom == Lolli(Unit(), Unit())
         assert cod == Lolli(TyVar("t"), TyVar("t"))
+
+
+# --- cached loose bounds: the bound-index maps skip subtrees they cannot
+# change; a walk with the skip turned off is the reference
+
+
+def _subnodes(obj):
+    """Every type and term node in obj, outermost first."""
+    todo, out = [obj], []
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (S.Type, S.Term)):
+            out.append(x)
+            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+        elif isinstance(x, tuple):
+            todo.extend(x)
+    return out
+
+
+def _full_walk(obj, m, td=0, md=0):
+    m.skips = False
+    return S.map_node(obj, m, td, md)
+
+
+class _LooseRef(S.VarMap):
+    """1 + the largest loose index per namespace, by a full walk."""
+
+    def __init__(self):
+        self.ty = self.tm = 0
+
+    def ty_bound(self, node, env):
+        self.ty = max(self.ty, node.index - env[0] + 1)
+        return node
+
+    def tm_bound(self, node, env):
+        self.tm = max(self.tm, node.index - env[1] + 1)
+        return node
+
+
+def _loose_corpus():
+    rng = random.Random(17)
+    out = []
+    for _ in range(80):
+        out += _subnodes(gen_scoped_term(rng, ["s"], ["z"], 5))
+    for _ in range(40):
+        out += _subnodes(gen_well_typed(rng, 4)[1])
+    return out
+
+
+class TestLooseBounds:
+    def test_cached_bounds_match_a_full_walk(self):
+        for n in _loose_corpus():
+            ref = _LooseRef()
+            S.map_node(n, ref)
+            assert S._loose(n) == (ref.ty, ref.tm)
+
+    def test_maps_match_a_full_walk(self):
+        rep_tm = [S.Star(), S.Var("q"), S.Bound(1),
+                  S.TyApp(S.Bound(0), S.TyBound(0))]
+        rep_ty = [Unit(), TyVar("q"), S.TyBound(1)]
+        for i, n in enumerate(_loose_corpus()):
+            for by, cut in ((1, 0), (2, 1), (-1, 1)):
+                assert S.shift(n, ty_by=by, td=cut) == _full_walk(
+                    n, S._Shift(by, 0, 0), td=cut)
+                assert S.shift(n, tm_by=by, md=cut) == _full_walk(
+                    n, S._Shift(0, by, 0), md=cut)
+            if isinstance(n, S.Term):
+                arg = rep_tm[i % len(rep_tm)]
+                assert S.instantiate_tm(n, arg) == _full_walk(
+                    n, S._InstTm((arg,)))
+                assert S.instantiate_tm(n, arg, S.Star()) == _full_walk(
+                    n, S._InstTm((arg, S.Star())))
+            ty = rep_ty[i % len(rep_ty)]
+            assert S.instantiate_ty(n, ty) == _full_walk(n, S._InstTy((ty,)))
+            for k in range(3):
+                for ns in ("tm", "ty"):
+                    ref = S._UsesBound(ns, k)
+                    _full_walk(n, ref)
+                    uses = S.uses_bound_tm if ns == "tm" else S.uses_bound_ty
+                    assert uses(n, k) == ref.found
+
+    def test_closed_subtrees_are_returned_without_a_walk(self):
+        closed = parse_term("/\\a. fn x:a -o a. fn y:a. x (let !z = !y in z)")
+        seen = []
+
+        class Spy(S._Shift):
+            def ty_bound(self, node, env):
+                seen.append(node)
+                return super().ty_bound(node, env)
+
+            def tm_bound(self, node, env):
+                seen.append(node)
+                return super().tm_bound(node, env)
+
+        assert S.map_node(closed, Spy(1, 1, 0)) is closed
+        assert seen == []
+        assert S.shift(closed, ty_by=2, tm_by=3) is closed
+        assert S.instantiate_tm(closed, S.Star()) is closed
+        assert S.instantiate_ty(closed, Unit()) is closed
+        assert not S.uses_bound_tm(closed) and not S.uses_bound_ty(closed)
+        opened = S.App(closed, S.Bound(0))
+        shifted = S.shift(opened, tm_by=1)
+        assert shifted == S.App(closed, S.Bound(1)) and shifted.fn is closed
+        ty = parse_type("all a. a -o a")
+        assert S.shift(ty, ty_by=1) is ty
+        assert S.instantiate_ty(ty, Unit()) is ty
+
+    def test_equality_hash_and_repr_ignore_the_cache(self):
+        src = "/\\a. fn x:a. let !y = !x in (fn z:a. z) y"
+        a, b = parse_term(src), parse_term(src)
+        for n in _subnodes(a):
+            S._loose(n)
+        assert a._lb is not None and b._lb is None
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_lb" not in repr(a)
+        assert [f.name for f in dataclasses.fields(a)] == ["hint", "body",
+                                                           "span"]
