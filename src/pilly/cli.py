@@ -1,6 +1,10 @@
 """Batch command-line driver.
 
 Commands: check, normalize, equal, encode, admissible, schema.
+`check` elaborates its files one after another, running their directives.
+`normalize`, `equal`, `admissible` and `schema` elaborate their file
+without its directives and run one directive built from their arguments,
+so each prints the line that directive prints under `check`.
 Global flags: --fuel N, --y-unroll N, --json, --strict, --config PATH.
 Exit codes: 0 ok, 1 directive failure, 2 usage error, 3 internal error.
 """
@@ -11,9 +15,9 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import encodings as E
 from . import parser as P
@@ -24,7 +28,7 @@ from .rewrite import (Equal, FuelExhausted, NotEqual, RewriteConfig, Unknown,
                       equal, normalize)
 from .relations import RelJudgement, derive_admissible
 from .syntax import RelContext, TermContext
-from .typecheck import TypeCheckError, infer_type
+from .typecheck import TypeCheckError, infer_type, kind_check
 
 
 @dataclass
@@ -93,10 +97,12 @@ def load_config_file(path: Path) -> dict:
     return out
 
 
-def _budget(file_cfg: dict, key: str, default: int) -> int:
+def _setting(file_cfg: dict, key: str, default):
+    """The config file's `key`, which must have the type of `default`."""
     val = file_cfg.get(key, default)
-    if type(val) is not int:
-        raise ValueError(f"{key} must be an integer, got {val!r}")
+    if type(val) is not type(default):
+        want = "true or false" if type(default) is bool else "an integer"
+        raise ValueError(f"{key} must be {want}, got {val!r}")
     return val
 
 
@@ -120,7 +126,6 @@ class Elaborated:
     inlined: dict[str, S.Term] = field(default_factory=dict)
     rel_defs: dict[str, S.Relation] = field(default_factory=dict)
     theta: RelContext = field(default_factory=RelContext)
-    directives: list[P.Directive] = field(default_factory=list)
 
     def ctx(self) -> TermContext:
         return TermContext(xi=(), gamma=dict(self.term_types), delta={})
@@ -142,7 +147,6 @@ def elaborate_file(text: str, target: str, cfg: Config,
         t0 = time.perf_counter()
         try:
             if isinstance(decl, P.TypeDecl):
-                from .typecheck import kind_check
                 kind_check(decl.params, decl.body)
                 report.add(ReportEntry(f"{target}:{decl.name}", "type", "ok",
                                        seconds=time.perf_counter() - t0))
@@ -162,21 +166,18 @@ def elaborate_file(text: str, target: str, cfg: Config,
                     f": {print_type(res.ty)}", time.perf_counter() - t0))
             elif isinstance(decl, P.RelDecl):
                 if decl.body is None:
-                    from .typecheck import kind_check
                     kind_check((), decl.dom)
                     kind_check((), decl.cod)
                     elab.theta.entries[decl.name] = (decl.dom, decl.cod,
                                                      decl.flavor)
                 else:
-                    dom, cod = RL.check_relation((), elab.term_types,
-                                                 elab.theta, decl.body)
+                    RL.check_relation((), elab.term_types, elab.theta,
+                                      decl.body)
                     elab.rel_defs[decl.name] = decl.body
                 report.add(ReportEntry(f"{target}:{decl.name}", "rel", "ok",
                                        seconds=time.perf_counter() - t0))
-            elif isinstance(decl, P.Directive):
-                elab.directives.append(decl)
-                if run_directives:
-                    run_directive(decl, elab, target, cfg, report)
+            elif isinstance(decl, P.Directive) and run_directives:
+                run_directive(decl, elab, target, cfg, report)
         except (TypeCheckError, RL.FormationError, P.ParseError) as e:
             name = getattr(decl, "name", type(decl).__name__)
             report.add(ReportEntry(f"{target}:{name}", "decl", "error",
@@ -185,14 +186,22 @@ def elaborate_file(text: str, target: str, cfg: Config,
     return elab
 
 
+_DIRECTIVE_ERRORS = (TypeCheckError, RL.FormationError, RL.PurityError,
+                     P.ParseError, ValueError)
+
+
+def _directive_entry(target: str, name: str, t0: float, status: str,
+                     message: str = "") -> ReportEntry:
+    return ReportEntry(f"{target}:#{name}", f"#{name}", status, message,
+                       time.perf_counter() - t0)
+
+
 def run_directive(d: P.Directive, elab: Elaborated, target: str, cfg: Config,
                   report: RunReport) -> None:
     t0 = time.perf_counter()
-    label = f"{target}:#{d.name}"
 
     def done(status: str, message: str = "") -> None:
-        report.add(ReportEntry(label, f"#{d.name}", status, message,
-                               time.perf_counter() - t0))
+        report.add(_directive_entry(target, d.name, t0, status, message))
 
     try:
         if d.name == "check":
@@ -205,8 +214,9 @@ def run_directive(d: P.Directive, elab: Elaborated, target: str, cfg: Config,
             try:
                 nf = normalize(elab.inline(term), cfg.rewrite())
                 done("ok", print_term(nf))
-            except FuelExhausted:
-                done("unknown", "fuel exhausted")
+            except FuelExhausted as e:
+                done("unknown",
+                     f"fuel exhausted at {print_term(e.term)[:200]}")
         elif d.name == "equal":
             lhs, rhs = d.payload
             r = equal(elab.inline(lhs), elab.inline(rhs), cfg.rewrite(),
@@ -239,12 +249,11 @@ def run_directive(d: P.Directive, elab: Elaborated, target: str, cfg: Config,
             done("ok", print_prop(prop))
         else:
             done("error", f"unknown directive {d.name!r}")
-    except (TypeCheckError, RL.FormationError, RL.PurityError,
-            P.ParseError) as e:
+    except _DIRECTIVE_ERRORS as e:
         done("error", str(e))
 
 
-def build_schema(kind: str, payload, elab: Elaborated | None) -> S.Proposition:
+def build_schema(kind: str, payload, elab: Elaborated) -> S.Proposition:
     if kind == "identity-extension":
         prop = RL.identity_extension_instance(payload)
     elif kind == "parametricity":
@@ -255,8 +264,7 @@ def build_schema(kind: str, payload, elab: Elaborated | None) -> S.Proposition:
         var, body = S.open_forall(payload, avoid)
         prop = RL.parametricity_schema_instance(var, body)
     elif kind == "lrl":
-        term = payload if elab is None else elab.inline(payload)
-        prop = RL.lrl_statement(term)
+        prop = RL.lrl_statement(elab.inline(payload))
     else:
         raise RL.FormationError(f"unknown schema kind {kind!r}")
     RL.check_prop((), {}, RelContext(), prop)
@@ -279,77 +287,51 @@ def cmd_check(args, cfg: Config) -> RunReport:
             report.add(ReportEntry(str(root), "check", "error",
                                    "no .pilly files found"))
             return report
-    texts = []
-    for f in files:
-        texts.append((f, Path(f).read_text()))
-    if len(texts) > 1:
-        # files are independent; directives within a file stay sequential
-        subreports = [RunReport() for _ in texts]
+    texts = [(f, Path(f).read_text()) for f in files]
+    for f, text in texts:
+        elaborate_file(text, f, cfg, report)
+    return report
 
-        def worker(i: int) -> None:
-            f, text = texts[i]
-            elaborate_file(text, f, cfg, subreports[i])
 
-        with ThreadPoolExecutor(max_workers=min(8, len(texts))) as ex:
-            list(ex.map(worker, range(len(texts))))
-        for sub in subreports:
-            report.entries.extend(sub.entries)
+def _file_directive(path: str | None, name: str, cfg: Config,
+                    payload: Callable[[Elaborated], tuple]) -> RunReport:
+    """Elaborate `path` without its directives, then run the directive
+    `#name` whose payload `payload` builds from the command's arguments.
+    With no path the directive runs against an empty file."""
+    report = RunReport()
+    target = path or "<args>"
+    elab = Elaborated(P.Signature()) if path is None else \
+        elaborate_file(Path(path).read_text(), path, cfg, RunReport(),
+                       run_directives=False)
+    t0 = time.perf_counter()
+    if elab is None:
+        problem = "file did not parse"
     else:
-        for f, text in texts:
-            elaborate_file(text, f, cfg, report)
+        try:
+            d = P.Directive(name, payload(elab), S.Span(0, 0))
+        except _DIRECTIVE_ERRORS as e:
+            problem = str(e)
+        else:
+            run_directive(d, elab, target, cfg, report)
+            return report
+    report.add(_directive_entry(target, name, t0, "error", problem))
     return report
 
 
 def cmd_normalize(args, cfg: Config) -> RunReport:
-    report = RunReport()
-    elab = elaborate_file(Path(args.file).read_text(), args.file, cfg,
-                          RunReport(), run_directives=False)
-    t0 = time.perf_counter()
-    if elab is None or args.name not in elab.inlined:
-        report.add(ReportEntry(args.name, "normalize", "error",
-                               f"no term named {args.name!r}"))
-        return report
-    try:
-        nf = normalize(elab.inlined[args.name], cfg.rewrite())
-        report.add(ReportEntry(args.name, "normalize", "ok", print_term(nf),
-                               time.perf_counter() - t0))
-    except FuelExhausted as e:
-        report.add(ReportEntry(args.name, "normalize", "unknown",
-                               f"fuel exhausted at {print_term(e.term)[:200]}",
-                               time.perf_counter() - t0))
-    return report
+    return _file_directive(args.file, "normalize", cfg,
+                           lambda elab: (S.Var(args.name),))
 
 
 def cmd_equal(args, cfg: Config) -> RunReport:
-    report = RunReport()
-    elab = elaborate_file(Path(args.file).read_text(), args.file, cfg,
-                          RunReport(), run_directives=False)
-    t0 = time.perf_counter()
-    label = f"{args.lhs} == {args.rhs}"
-    if elab is None:
-        report.add(ReportEntry(label, "equal", "error", "file did not parse"))
-        return report
-    try:
+    def sides(elab: Elaborated) -> tuple:
         lhs = P.parse_term(args.lhs, elab.sig)
         rhs = P.parse_term(args.rhs, elab.sig)
-        for t in (lhs, rhs):
+        for t in (lhs, rhs):  # `#equal` itself does not typecheck
             infer_type(elab.ctx(), t)
-        r = equal(elab.inline(lhs), elab.inline(rhs), cfg.rewrite(),
-                  ctx=TermContext())
-        if isinstance(r, Equal):
-            report.add(ReportEntry(label, "equal", "ok",
-                                   seconds=time.perf_counter() - t0))
-        elif isinstance(r, NotEqual):
-            report.add(ReportEntry(label, "equal", "error",
-                                   "distinct normal forms",
-                                   time.perf_counter() - t0))
-        else:
-            report.add(ReportEntry(label, "equal", "unknown", r.reason,
-                                   time.perf_counter() - t0))
-    except (TypeCheckError, P.ParseError) as e:
-        report.add(ReportEntry(label, "equal", "error", str(e),
-                               time.perf_counter() - t0))
-    return report
+        return lhs, rhs
+
+    return _file_directive(args.file, "equal", cfg, sides)
 
 
 def _encode_bundle(kind: str, type_args: list[str]) -> E.EncodingBundle:
@@ -423,40 +405,14 @@ def cmd_encode(args, cfg: Config) -> RunReport:
 
 
 def cmd_admissible(args, cfg: Config) -> RunReport:
-    report = RunReport()
-    elab = elaborate_file(Path(args.file).read_text(), args.file, cfg,
-                          RunReport(), run_directives=False)
-    if elab is None:
-        report.add(ReportEntry(args.name, "admissible", "error",
-                               "file did not parse"))
-        return report
-    d = P.Directive("admissible", (args.name,), S.Span(0, 0))
-    run_directive(d, elab, args.file, cfg, report)
-    return report
+    return _file_directive(args.file, "admissible", cfg,
+                           lambda elab: (args.name,))
 
 
 def cmd_schema(args, cfg: Config) -> RunReport:
-    report = RunReport()
-    t0 = time.perf_counter()
-    label = f"{args.kind} {args.target}"
-    try:
-        elab = None
-        if args.file:
-            elab = elaborate_file(Path(args.file).read_text(), args.file, cfg,
-                                  RunReport(), run_directives=False)
-        sig = elab.sig if elab else None
-        if args.kind == "lrl":
-            payload = P.parse_term(args.target, sig)
-        else:
-            payload = P.parse_type(args.target, sig)
-        prop = build_schema(args.kind, payload, elab)
-        report.add(ReportEntry(label, "schema", "ok", print_prop(prop),
-                               time.perf_counter() - t0))
-    except (TypeCheckError, RL.FormationError, RL.PurityError, P.ParseError,
-            ValueError) as e:
-        report.add(ReportEntry(label, "schema", "error", str(e),
-                               time.perf_counter() - t0))
-    return report
+    parse = P.parse_term if args.kind == "lrl" else P.parse_type
+    return _file_directive(args.file, "schema", cfg, lambda elab: (
+        args.kind, parse(args.target, elab.sig)))
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +479,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if config_path.exists():
             file_cfg = load_config_file(config_path)
-            cfg.fuel = _budget(file_cfg, "fuel", cfg.fuel)
-            cfg.y_unroll = _budget(file_cfg, "y_unroll", cfg.y_unroll)
-            cfg.strict = bool(file_cfg.get("strict", cfg.strict))
+            cfg.fuel = _setting(file_cfg, "fuel", cfg.fuel)
+            cfg.y_unroll = _setting(file_cfg, "y_unroll", cfg.y_unroll)
+            cfg.strict = _setting(file_cfg, "strict", cfg.strict)
             cfg.catalog = file_cfg.get("catalog", cfg.catalog)
         if args.fuel is not None:
             cfg.fuel = args.fuel

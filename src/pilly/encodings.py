@@ -20,7 +20,7 @@ from .rewrite import Equal, EqResult, RewriteConfig, equal
 from .syntax import (Bang, Flavor, Lolli, RelVar, Tensor, TermContext,
                      Term, Type, TyVar, Unit, arrow, forall, fresh,
                      fresh_many, free_type_names)
-from .typecheck import check_type
+from .typecheck import TypeCheckError, check_type
 
 
 @dataclass
@@ -873,7 +873,7 @@ def verify_bundle(b: EncodingBundle, cfg: RewriteConfig | None = None,
         try:
             check_type(ctx, term, ty)
             combs[name] = True
-        except Exception:
+        except TypeCheckError:
             combs[name] = False
     beta: dict[str, EqResult] = {}
     for name, lhs, rhs in b.beta_laws:
@@ -883,7 +883,7 @@ def verify_bundle(b: EncodingBundle, cfg: RewriteConfig | None = None,
         try:
             R.check_prop(xi, {}, S.RelContext(), prop)
             schemas[name] = True
-        except Exception:
+        except (R.FormationError, R.PurityError, TypeCheckError):
             schemas[name] = False
     return BundleReport(b.name, combs, beta, schemas)
 

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
@@ -26,6 +27,32 @@ rel EQ = (x:I, y:I). x =_{I} y
 BAD_TYPES = "term broken = fn x:I. x x\n"
 UNKNOWN_EQ = ("term om = Y [I] !(lam w:I. w)\n"
               "#equal om == <>\n")
+
+
+def run_json(argv, capsys):
+    """Exit code and report lines of one `pilly --json` run."""
+    rc = main(["--json"] + argv)
+    return rc, [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+
+
+FILE = "<file>"
+
+
+def assert_same_as_directive(write, capsys, decls, directive, command,
+                             flags=()):
+    """`command`, with FILE standing for a file holding `decls` and
+    `directive`, prints what `pilly check` prints for that directive:
+    target, kind, status and message."""
+    f = write("d.pilly", decls + directive + "\n")
+    rc_check, lines = run_json([*flags, "check", f], capsys)
+    rc_cmd, got = run_json([*flags, *(f if a == FILE else a for a in command)],
+                           capsys)
+    key = ("target", "kind", "status", "message")
+    want = [tuple(e[k] for k in key) for e in lines
+            if e["kind"].startswith("#")]
+    assert [tuple(e[k] for k in key) for e in got] == want
+    assert rc_cmd == rc_check
+    return got[0]
 
 
 @pytest.fixture()
@@ -92,6 +119,16 @@ class TestJson:
         for line in capsys.readouterr().out.strip().splitlines():
             jsonschema.validate(json.loads(line), schema)
 
+    def test_entry_seconds_fit_in_wall_time(self, capsys):
+        t0 = time.perf_counter()
+        rc, entries = run_json(["check"], capsys)
+        wall = time.perf_counter() - t0
+        assert rc == 0
+        assert sum(e["seconds"] for e in entries) <= wall
+        files = [e["target"].split(":", 1)[0] for e in entries]
+        assert files == sorted(files)
+        assert len(set(files)) == 10
+
 
 class TestNormalize:
     def test_normalizes_declared_term(self, write, capsys):
@@ -108,6 +145,25 @@ class TestNormalize:
 
     def test_missing_name(self, write):
         assert main(["normalize", write("n.pilly", ""), "nope"]) == 1
+
+    def test_unparsable_file_reported_once(self, write, capsys):
+        rc, got = run_json(["normalize", write("n.pilly", "term = \n"), "t"],
+                           capsys)
+        assert rc == 1
+        assert [(e["kind"], e["status"], e["message"]) for e in got] == \
+            [("#normalize", "error", "file did not parse")]
+
+    @pytest.mark.parametrize("flags, status", [((), "ok"),
+                                               (("--fuel", "1"), "unknown")])
+    def test_matches_directive(self, write, capsys, flags, status):
+        got = assert_same_as_directive(
+            write, capsys,
+            "term t = (fn x:I. x) ((fn x:I. x) <>)\n", "#normalize t",
+            ["normalize", FILE, "t"], flags)
+        assert got["kind"] == "#normalize" and got["status"] == status
+        assert got["target"].endswith("d.pilly:#normalize")
+        if status == "unknown":
+            assert got["message"].startswith("fuel exhausted at ")
 
     def test_fuel_flag(self, write):
         f = write("n.pilly",
@@ -149,6 +205,28 @@ class TestEqual:
     def test_y_budget_flag(self, write):
         f = write("e.pilly", "term om = Y [I] !(lam w:I. w)\n")
         assert main(["--y-unroll", "2", "equal", f, "om", "om"]) == 0
+
+    @pytest.mark.parametrize("lhs, rhs, status", [
+        ("zero", "zero", "ok"),
+        ("zero", "one", "error"),
+        ("om", "<>", "unknown"),
+    ])
+    def test_matches_directive(self, write, capsys, lhs, rhs, status):
+        decls = ("term zero = /\\a. lam f:a -o a. fn x:a. x\n"
+                 "term one = /\\a. lam f:a -o a. fn x:a. f x\n"
+                 "term om = Y [I] !(lam w:I. w)\n")
+        got = assert_same_as_directive(write, capsys, decls,
+                                       f"#equal {lhs} == {rhs}",
+                                       ["equal", FILE, lhs, rhs])
+        assert got["status"] == status
+        if status == "error":
+            assert got["message"].startswith("distinct normal forms: ")
+
+    def test_ill_typed_side_is_type_error(self, write, capsys):
+        f = write("e.pilly", "")
+        assert main(["equal", f, "<> <>", "<>"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] #equal" in out and "NotAFunction" in out
 
 
 class TestEncode:
@@ -193,10 +271,25 @@ class TestAdmissible:
         f = write("a.pilly", "rel SA : AdmRel(I, I)\n")
         assert main(["admissible", f, "SA"]) == 0
 
+    @pytest.mark.parametrize("name, status", [("EQ", "ok"),
+                                              ("RW", "error")])
+    def test_matches_directive(self, write, capsys, name, status):
+        decls = "rel RW : Rel(I, I)\nrel EQ = (x:I, y:I). x =_{I} y\n"
+        got = assert_same_as_directive(write, capsys, decls,
+                                       f"#admissible {name}",
+                                       ["admissible", FILE, name])
+        assert got["status"] == status
+
 
 class TestSchema:
     def test_identity_extension(self, capsys):
         assert main(["schema", "identity-extension", "a * a"]) == 0
+
+    def test_without_file_runs_against_empty_file(self, capsys):
+        rc, got = run_json(["schema", "identity-extension", "a"], capsys)
+        assert rc == 0
+        assert [(e["target"], e["kind"], e["status"]) for e in got] == \
+            [("<args>:#schema", "#schema", "ok")]
 
     def test_parametricity(self, capsys):
         assert main(["schema", "parametricity", "all b. (b -> b) -> b"]) == 0
@@ -205,6 +298,12 @@ class TestSchema:
     def test_lrl_named_term(self, write):
         f = write("s.pilly", "term id2 = /\\a. fn x:a. x\n")
         assert main(["schema", "lrl", "id2", "--file", f]) == 0
+
+    def test_lrl_matches_directive(self, write, capsys):
+        got = assert_same_as_directive(
+            write, capsys, "term id2 = /\\a. fn x:a. x\n", "#schema lrl id2",
+            ["schema", "lrl", "id2", "--file", FILE])
+        assert got["status"] == "ok"
 
     def test_usage_error_is_exit_two(self):
         with pytest.raises(SystemExit) as e:
@@ -226,6 +325,17 @@ class TestConfig:
         f = write("n.pilly", "term t = (fn x:I. x) <>\n")
         assert main(["--config", str(cfgp), "--fuel", "100",
                      "normalize", f, "t"]) == 0
+
+    @pytest.mark.parametrize("value, rc", [("no", 2), ("false", 0),
+                                           ("true", 1)])
+    def test_strict_must_be_boolean(self, write, tmp_path, capsys, value, rc):
+        cfgp = tmp_path / "pilly.toml"
+        cfgp.write_text(f"strict = {value}\n")
+        f = write("e.pilly", "")
+        assert main(["--config", str(cfgp), "equal", f,
+                     "Y [I] !(lam w:I. w)", "<>"]) == rc
+        if rc == 2:
+            assert capsys.readouterr().err.startswith("error: strict")
 
     def test_bad_config_is_usage_error(self, write, tmp_path):
         cfgp = tmp_path / "pilly.toml"

@@ -265,3 +265,35 @@ class TestCatalogFreshness:
             text = "\n".join(E.bundle_to_source(b, prefix, exclude=excl)
                              for prefix, b in bundles)
             assert (cat / fname).read_text() == text, fname
+
+
+class TestVerifyBundle:
+    def test_catalog_bundles_verify(self):
+        for key, b in E.catalog().items():
+            assert E.verify_bundle(b, CFG).ok, key
+
+    def test_ill_typed_combinator_is_reported(self):
+        b = E.encode_unit()
+        name, (term, _) = next(iter(b.combinators.items()))
+        b.combinators[name] = (term, Unit())
+        rep = E.verify_bundle(b, CFG)
+        assert rep.combinators[name] is False and not rep.ok
+
+    def test_crash_in_typechecker_propagates(self, monkeypatch):
+        from pilly.cli import main
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic")
+
+        monkeypatch.setattr(E, "check_type", boom)
+        with pytest.raises(RuntimeError):
+            E.verify_bundle(E.encode_unit(), CFG)
+        assert main(["encode", "unit"]) == 3
+
+    def test_crash_in_schema_check_propagates(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic")
+
+        monkeypatch.setattr(E.R, "check_prop", boom)
+        with pytest.raises(RuntimeError):
+            E.verify_bundle(E.encode_nat(), CFG)
