@@ -297,12 +297,18 @@ def _file_directive(path: str | None, name: str, cfg: Config,
                     payload: Callable[[Elaborated], tuple]) -> RunReport:
     """Elaborate `path` without its directives, then run the directive
     `#name` whose payload `payload` builds from the command's arguments.
-    With no path the directive runs against an empty file."""
+    The report keeps the file's failed declarations but not its ok
+    lines.  With no path the directive runs against an empty file."""
     report = RunReport()
     target = path or "<args>"
-    elab = Elaborated(P.Signature()) if path is None else \
-        elaborate_file(Path(path).read_text(), path, cfg, RunReport(),
-                       run_directives=False)
+    if path is None:
+        elab = Elaborated(P.Signature())
+    else:
+        decls = RunReport()
+        elab = elaborate_file(Path(path).read_text(), path, cfg, decls,
+                              run_directives=False)
+        if elab is not None:  # an unparsable file is reported once, below
+            report.entries = [e for e in decls.entries if e.status == "error"]
     t0 = time.perf_counter()
     if elab is None:
         problem = "file did not parse"

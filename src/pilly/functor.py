@@ -193,24 +193,11 @@ def m_declared_type(ty: Type, neg: str, pos: str) -> Type:
 
 
 def _check_constants(ty: Type, neg: str, pos: str) -> None:
-    def go(t: Type) -> None:
-        if isinstance(t, TyConst):
-            for a in t.args:
-                frees = free_type_names(a)
-                if neg in frees or pos in frees:
-                    raise NotInductivelyConstructed(
-                        f"cannot act on constant {t.name!r} mentioning "
-                        f"{neg!r} or {pos!r}")
-        elif isinstance(t, Lolli):
-            go(t.dom)
-            go(t.cod)
-        elif isinstance(t, Tensor):
-            go(t.left)
-            go(t.right)
-        elif isinstance(t, (Bang, Forall)):
-            go(t.body)
-
-    go(ty)
+    for t in S.subnodes(ty):
+        if isinstance(t, TyConst) and {neg, pos} & set(free_type_names(t)):
+            raise NotInductivelyConstructed(
+                f"cannot act on constant {t.name!r} mentioning "
+                f"{neg!r} or {pos!r}")
 
 
 def synthesize_m(ty: Type, neg: str, pos: str) -> S.Term:

@@ -364,8 +364,10 @@ class Parser:
                 or (t.kind == "kw" and t.text == "Y"))
 
     def _tm_bang(self) -> S.Term:
+        start = self.peek().start
         if self.eat("!"):
-            return S.BangIntro(self._tm_bang())
+            body = self._tm_bang()
+            return S.BangIntro(body, Span(start, self._prev_end()))
         return self._tm_atom()
 
     def _tm_atom(self) -> S.Term:

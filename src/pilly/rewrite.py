@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (App, BangIntro, Bound, LetBang, LetStar, LetTensor,
-                     LinLam, Star, TensorPair, Term, TyApp, TyBound, TyLam,
-                     Var, Y, instantiate_tm, instantiate_ty, shift,
-                     uses_bound_tm, uses_bound_ty)
+from .syntax import (CHILDREN, App, BangIntro, Bound, LetBang, LetStar,
+                     LetTensor, LinLam, Star, TensorPair, Term, TyApp, TyBound,
+                     TyLam, Var, Y, instantiate_tm, instantiate_ty, rebuild,
+                     shift, uses_bound_tm, uses_bound_ty)
 
 
 @dataclass
@@ -98,12 +98,7 @@ def _eta(t: Term) -> Term | None:
 
 def _rewrap_let(let_: Term, new_inner: Term) -> Term:
     """Rebuild the hoisted let with `new_inner` as its body."""
-    if isinstance(let_, LetStar):
-        return LetStar(let_.scrut, new_inner)
-    if isinstance(let_, LetTensor):
-        return LetTensor(let_.hintx, let_.hinty, let_.tyx, let_.tyy,
-                         let_.scrut, new_inner)
-    return LetBang(let_.hint, let_.ty, let_.scrut, new_inner)
+    return rebuild(let_, {"body": new_inner})
 
 
 def _let_binders(t: Term) -> int:
@@ -156,37 +151,15 @@ def _hoist(t: Term) -> Term | None:
     return None
 
 
-# The children of each term class, in the order the strategy visits them;
-# every other class is a leaf.
-_KIDS = {
-    LinLam: ("body",), App: ("fn", "arg"), TensorPair: ("left", "right"),
-    BangIntro: ("body",), TyLam: ("body",), TyApp: ("fn",),
-    LetStar: ("scrut", "body"), LetTensor: ("scrut", "body"),
-    LetBang: ("scrut", "body"),
-}
+# The term-valued children of each term class, in the order the strategy
+# visits them; every other class is a leaf.
+_KIDS = {cls: tuple(name for name, sort, *_ in kids if sort is Term)
+         for cls, kids in CHILDREN.items() if issubclass(cls, Term)}
 
 
 def _with_child(t: Term, i: int, c: Term) -> Term:
     """`t` with its child number `i` (in `_KIDS` order) replaced by `c`."""
-    if isinstance(t, LinLam):
-        return LinLam(t.hint, t.ty, c, t.span)
-    if isinstance(t, App):
-        return App(c, t.arg) if i == 0 else App(t.fn, c)
-    if isinstance(t, TensorPair):
-        return TensorPair(c, t.right) if i == 0 else TensorPair(t.left, c)
-    if isinstance(t, BangIntro):
-        return BangIntro(c)
-    if isinstance(t, TyLam):
-        return TyLam(t.hint, c, t.span)
-    if isinstance(t, TyApp):
-        return TyApp(c, t.ty)
-    if isinstance(t, LetStar):
-        return LetStar(c, t.body) if i == 0 else LetStar(t.scrut, c)
-    if isinstance(t, LetTensor):
-        s, b = (c, t.body) if i == 0 else (t.scrut, c)
-        return LetTensor(t.hintx, t.hinty, t.tyx, t.tyy, s, b)
-    s, b = (c, t.body) if i == 0 else (t.scrut, c)
-    return LetBang(t.hint, t.ty, s, b)
+    return rebuild(t, {_KIDS[type(t)][i]: c})
 
 
 def _first(t: Term, rewrite) -> Term | None:

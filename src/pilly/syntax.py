@@ -8,10 +8,13 @@ is excluded from equality, so dataclass `==` is alpha-equivalence.
 
 All public constructors expect locally closed arguments (no dangling
 indices); the index-shifting primitives at the bottom are for internal
-use by the rewriter and checker.  Each type and term node caches, on
-first use and outside its dataclass fields, one more than its largest
-loose index in each namespace, so shifting and instantiation return a
-subtree they cannot change without walking it.
+use by the rewriter and checker.  `CHILDREN` is the one place that lists
+a node class's children and the binders each sits under; `map_node`,
+`subnodes`, `rebuild` and the loose bounds below, and the rewriter's
+congruence walk, all read it.  Each type and term node caches, on first
+use and outside its dataclass fields, one more than its largest loose
+index in each namespace, so shifting and instantiation return a subtree
+they cannot change without walking it.
 """
 
 from __future__ import annotations
@@ -382,6 +385,79 @@ class RelContext:
 
 
 # ---------------------------------------------------------------------------
+# The child table: the one place that lists a node's children
+
+
+def _c(name: str, sort: type, ty: int = 0, tm: int = 0, rel: int = 0):
+    return (name, sort, ty, tm, rel)
+
+
+_HINTS = -1  # stands for one type binder per hint (TypeRel.body)
+
+# Every inner node class with its children in field order.  A child is
+# (field, sort, type binders, term binders, relation binders): the sort
+# of the node(s) the field holds and how many binders of each namespace
+# it sits under.  A let annotation may be None, and `TyConst.args` and
+# `TypeRel.args` are tuples.  Every other class is a leaf.
+CHILDREN: dict[type, tuple[tuple[str, type, int, int, int], ...]] = {
+    Lolli: (_c("dom", Type), _c("cod", Type)),
+    Tensor: (_c("left", Type), _c("right", Type)),
+    Bang: (_c("body", Type),),
+    Forall: (_c("body", Type, ty=1),),
+    TyConst: (_c("args", Type),),
+    LinLam: (_c("ty", Type), _c("body", Term, tm=1)),
+    App: (_c("fn", Term), _c("arg", Term)),
+    TensorPair: (_c("left", Term), _c("right", Term)),
+    BangIntro: (_c("body", Term),),
+    TyLam: (_c("body", Term, ty=1),),
+    TyApp: (_c("fn", Term), _c("ty", Type)),
+    LetStar: (_c("scrut", Term), _c("body", Term)),
+    LetTensor: (_c("tyx", Type), _c("tyy", Type), _c("scrut", Term),
+                _c("body", Term, tm=2)),
+    LetBang: (_c("ty", Type), _c("scrut", Term), _c("body", Term, tm=1)),
+    RelVar: (_c("dom", Type), _c("cod", Type)),
+    Compr: (_c("tyx", Type), _c("tyy", Type), _c("body", Proposition, tm=2)),
+    TypeRel: (_c("body", Type, ty=_HINTS), _c("args", Relation)),
+    InternalEq: (_c("ty", Type), _c("lhs", Term), _c("rhs", Term)),
+    RelApp: (_c("rel", Relation), _c("lhs", Term), _c("rhs", Term)),
+    **{cls: (_c("left", Proposition), _c("right", Proposition))
+       for cls in (Implies, And, Or)},
+    **{cls: (_c("body", Proposition, ty=1),) for cls in (ForallTy, ExistsTy)},
+    **{cls: (_c("ty", Type), _c("body", Proposition, tm=1))
+       for cls in (ForallTm, ExistsTm)},
+    **{cls: (_c("dom", Type), _c("cod", Type),
+             _c("body", Proposition, rel=1))
+       for cls in (ForallRel, ExistsRel)},
+}
+
+
+def rebuild(n: Node, changes: dict[str, object]) -> Node:
+    """`n` with the fields in `changes` replaced and every other field,
+    hints and span included, kept.  Copies the instance dictionary, as
+    `copy.copy` does, without the cached loose bounds."""
+    new = object.__new__(type(n))
+    d = new.__dict__
+    d.update(n.__dict__)
+    d.pop("_lb", None)
+    d.update(changes)
+    return new
+
+
+def subnodes(obj: Node):
+    """Every node in `obj`, outermost first, children in field order."""
+    todo = [obj]
+    while todo:
+        x = todo.pop()
+        yield x
+        for name, *_ in reversed(CHILDREN.get(type(x), ())):
+            c = getattr(x, name)
+            if type(c) is tuple:
+                todo.extend(reversed(c))
+            elif c is not None:
+                todo.append(c)
+
+
+# ---------------------------------------------------------------------------
 # Generic traversal
 
 # Env is the triple of binder depths (type vars, term vars, relation vars)
@@ -392,11 +468,13 @@ Env = tuple[int, int, int]
 class VarMap:
     """Identity transformation; subclasses hook the six variable cases.
 
-    A map whose hooks change nothing free and only bound indices at or
-    above `depth + ty_from` (type namespace) and `depth + tm_from` (term
-    namespace) sets `skips`; `map_type`/`map_term` then return a subtree
-    with no such loose index as it is, without walking it.  None means
-    the map changes no index in that namespace.
+    `map_node` calls `rel_free` on a relation variable after mapping its
+    domain and codomain, and each other hook on its leaf.  A map whose
+    hooks change nothing free and only bound indices at or above
+    `depth + ty_from` (type namespace) and `depth + tm_from` (term
+    namespace) sets `skips`; `map_node` then returns a type or term
+    subtree with no such loose index as it is, without walking it.  None
+    means the map changes no index in that namespace.
     """
 
     skips = False
@@ -431,34 +509,19 @@ def _loose(n: Type | Term) -> tuple[int, int]:
     outside the dataclass fields."""
     lb = n._lb
     if lb is None:
-        lb = _LOOSE_OF[type(n)](n)
-        object.__setattr__(n, "_lb", lb)
-    return lb
-
-
-def _join(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    if a is _CLOSED or a == b:
-        return b
-    if b is _CLOSED:
-        return a
-    return (max(a[0], b[0]), max(a[1], b[1]))
-
-
-def _under(lb: tuple[int, int], tys: int, tms: int) -> tuple[int, int]:
-    """Loose bounds of a binder of `tys` type and `tms` term variables
-    whose body has loose bounds `lb`."""
-    ty, tm = max(lb[0] - tys, 0), max(lb[1] - tms, 0)
-    return (ty, tm) if ty or tm else _CLOSED
-
-
-def _loose_opt(n: Type | None) -> tuple[int, int]:
-    return _CLOSED if n is None else _loose(n)
-
-
-def _loose_const(n: TyConst) -> tuple[int, int]:
-    lb = _CLOSED
-    for a in n.args:
-        lb = _join(lb, _loose(a))
+        ty = tm = 0
+        for name, _, dt, dm, _ in CHILDREN[type(n)]:
+            c = getattr(n, name)
+            if c is None:
+                continue
+            for x in c if type(c) is tuple else (c,):
+                cty, ctm = x._lb or _loose(x)
+                if cty - dt > ty:
+                    ty = cty - dt
+                if ctm - dm > tm:
+                    tm = ctm - dm
+        lb = (ty, tm) if ty or tm else _CLOSED
+        n.__dict__["_lb"] = lb
     return lb
 
 
@@ -467,189 +530,52 @@ TyVar._lb = Unit._lb = Var._lb = Star._lb = Y._lb = _CLOSED
 TyBound._lb = property(lambda n: (n.index + 1, 0))
 Bound._lb = property(lambda n: (0, n.index + 1))
 
-# How each other class's loose bounds follow from its children's.
-_LOOSE_OF = {
-    Lolli: lambda n: _join(_loose(n.dom), _loose(n.cod)),
-    Tensor: lambda n: _join(_loose(n.left), _loose(n.right)),
-    Bang: lambda n: _loose(n.body),
-    Forall: lambda n: _under(_loose(n.body), 1, 0),
-    TyConst: _loose_const,
-    LinLam: lambda n: _join(_loose(n.ty), _under(_loose(n.body), 0, 1)),
-    App: lambda n: _join(_loose(n.fn), _loose(n.arg)),
-    TensorPair: lambda n: _join(_loose(n.left), _loose(n.right)),
-    BangIntro: lambda n: _loose(n.body),
-    TyLam: lambda n: _under(_loose(n.body), 1, 0),
-    TyApp: lambda n: _join(_loose(n.fn), _loose(n.ty)),
-    LetStar: lambda n: _join(_loose(n.scrut), _loose(n.body)),
-    LetTensor: lambda n: _join(
-        _join(_loose_opt(n.tyx), _loose_opt(n.tyy)),
-        _join(_loose(n.scrut), _under(_loose(n.body), 0, 2))),
-    LetBang: lambda n: _join(
-        _loose_opt(n.ty),
-        _join(_loose(n.scrut), _under(_loose(n.body), 0, 1))),
-}
-
-
-def map_type(t: Type, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Type:
-    env = (td, md, rd)
-    if isinstance(t, TyVar):
-        return m.ty_free(t, env)
-    if isinstance(t, TyBound):
-        return m.ty_bound(t, env)
-    if isinstance(t, Unit):
-        return t
-    if m.skips and (m.ty_from is None or _loose(t)[0] <= td + m.ty_from):
-        return t
-    if isinstance(t, Lolli):
-        d = map_type(t.dom, m, td, md, rd)
-        c = map_type(t.cod, m, td, md, rd)
-        return t if d is t.dom and c is t.cod else Lolli(d, c, t.span)
-    if isinstance(t, Tensor):
-        l = map_type(t.left, m, td, md, rd)
-        r = map_type(t.right, m, td, md, rd)
-        return t if l is t.left and r is t.right else Tensor(l, r, t.span)
-    if isinstance(t, Bang):
-        b = map_type(t.body, m, td, md, rd)
-        return t if b is t.body else Bang(b, t.span)
-    if isinstance(t, Forall):
-        b = map_type(t.body, m, td + 1, md, rd)
-        return t if b is t.body else Forall(t.hint, b, t.span)
-    if isinstance(t, TyConst):
-        args = tuple(map_type(a, m, td, md, rd) for a in t.args)
-        if all(a is b for a, b in zip(args, t.args)):
-            return t
-        return TyConst(t.name, args, t.span)
-    raise TypeError(f"not a type node: {t!r}")
-
-
-def map_term(t: Term, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Term:
-    env = (td, md, rd)
-    if isinstance(t, Var):
-        return m.tm_free(t, env)
-    if isinstance(t, Bound):
-        return m.tm_bound(t, env)
-    if isinstance(t, (Star, Y)):
-        return t
-    if m.skips:
-        ty, tm = t._lb or _loose(t)
-        if ((m.ty_from is None or ty <= td + m.ty_from)
-                and (m.tm_from is None or tm <= md + m.tm_from)):
-            return t
-    if isinstance(t, LinLam):
-        ty = map_type(t.ty, m, td, md, rd)
-        b = map_term(t.body, m, td, md + 1, rd)
-        return t if ty is t.ty and b is t.body else LinLam(t.hint, ty, b, t.span)
-    if isinstance(t, App):
-        f = map_term(t.fn, m, td, md, rd)
-        a = map_term(t.arg, m, td, md, rd)
-        return t if f is t.fn and a is t.arg else App(f, a, t.span)
-    if isinstance(t, TensorPair):
-        l = map_term(t.left, m, td, md, rd)
-        r = map_term(t.right, m, td, md, rd)
-        return t if l is t.left and r is t.right else TensorPair(l, r, t.span)
-    if isinstance(t, BangIntro):
-        b = map_term(t.body, m, td, md, rd)
-        return t if b is t.body else BangIntro(b, t.span)
-    if isinstance(t, TyLam):
-        b = map_term(t.body, m, td + 1, md, rd)
-        return t if b is t.body else TyLam(t.hint, b, t.span)
-    if isinstance(t, TyApp):
-        f = map_term(t.fn, m, td, md, rd)
-        ty = map_type(t.ty, m, td, md, rd)
-        return t if f is t.fn and ty is t.ty else TyApp(f, ty, t.span)
-    if isinstance(t, LetStar):
-        s = map_term(t.scrut, m, td, md, rd)
-        b = map_term(t.body, m, td, md, rd)
-        return t if s is t.scrut and b is t.body else LetStar(s, b, t.span)
-    if isinstance(t, LetTensor):
-        tx = map_type(t.tyx, m, td, md, rd) if t.tyx is not None else None
-        ty2 = map_type(t.tyy, m, td, md, rd) if t.tyy is not None else None
-        s = map_term(t.scrut, m, td, md, rd)
-        b = map_term(t.body, m, td, md + 2, rd)
-        if tx is t.tyx and ty2 is t.tyy and s is t.scrut and b is t.body:
-            return t
-        return LetTensor(t.hintx, t.hinty, tx, ty2, s, b, t.span)
-    if isinstance(t, LetBang):
-        ty = map_type(t.ty, m, td, md, rd) if t.ty is not None else None
-        s = map_term(t.scrut, m, td, md, rd)
-        b = map_term(t.body, m, td, md + 1, rd)
-        if ty is t.ty and s is t.scrut and b is t.body:
-            return t
-        return LetBang(t.hint, ty, s, b, t.span)
-    raise TypeError(f"not a term node: {t!r}")
-
-
-def map_rel(r: Relation, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Relation:
-    env = (td, md, rd)
-    if isinstance(r, RelVar):
-        d = map_type(r.dom, m, td, md, rd)
-        c = map_type(r.cod, m, td, md, rd)
-        node = r if d is r.dom and c is r.cod else RelVar(r.name, d, c, r.flavor, r.span)
-        return m.rel_free(node, env)
-    if isinstance(r, RelBound):
-        return m.rel_bound(r, env)
-    if isinstance(r, Compr):
-        tx = map_type(r.tyx, m, td, md, rd)
-        ty2 = map_type(r.tyy, m, td, md, rd)
-        b = map_prop(r.body, m, td, md + 2, rd)
-        if tx is r.tyx and ty2 is r.tyy and b is r.body:
-            return r
-        return Compr(r.hintx, r.hinty, tx, ty2, b, r.span)
-    if isinstance(r, TypeRel):
-        body = map_type(r.body, m, td + len(r.hints), md, rd)
-        args = tuple(map_rel(a, m, td, md, rd) for a in r.args)
-        if body is r.body and all(a is b for a, b in zip(args, r.args)):
-            return r
-        return TypeRel(r.hints, body, args, r.span)
-    raise TypeError(f"not a relation node: {r!r}")
-
-
-def map_prop(p: Proposition, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Proposition:
-    if isinstance(p, InternalEq):
-        ty = map_type(p.ty, m, td, md, rd)
-        l = map_term(p.lhs, m, td, md, rd)
-        r = map_term(p.rhs, m, td, md, rd)
-        if ty is p.ty and l is p.lhs and r is p.rhs:
-            return p
-        return InternalEq(ty, l, r, p.span)
-    if isinstance(p, RelApp):
-        rel = map_rel(p.rel, m, td, md, rd)
-        l = map_term(p.lhs, m, td, md, rd)
-        r = map_term(p.rhs, m, td, md, rd)
-        if rel is p.rel and l is p.lhs and r is p.rhs:
-            return p
-        return RelApp(rel, l, r, p.span)
-    if isinstance(p, (Implies, And, Or)):
-        l = map_prop(p.left, m, td, md, rd)
-        r = map_prop(p.right, m, td, md, rd)
-        return p if l is p.left and r is p.right else type(p)(l, r, p.span)
-    if isinstance(p, (Top, Bottom)):
-        return p
-    if isinstance(p, (ForallTy, ExistsTy)):
-        b = map_prop(p.body, m, td + 1, md, rd)
-        return p if b is p.body else type(p)(p.hint, b, p.span)
-    if isinstance(p, (ForallTm, ExistsTm)):
-        ty = map_type(p.ty, m, td, md, rd)
-        b = map_prop(p.body, m, td, md + 1, rd)
-        return p if ty is p.ty and b is p.body else type(p)(p.hint, ty, b, p.span)
-    if isinstance(p, (ForallRel, ExistsRel)):
-        d = map_type(p.dom, m, td, md, rd)
-        c = map_type(p.cod, m, td, md, rd)
-        b = map_prop(p.body, m, td, md, rd + 1)
-        if d is p.dom and c is p.cod and b is p.body:
-            return p
-        return type(p)(p.hint, d, c, p.flavor, b, p.span)
-    raise TypeError(f"not a proposition node: {p!r}")
+# What map_node does at each class: call the named hook (a variable),
+# walk the children (an inner node), or nothing (a closed leaf).
+_WALK = {TyVar: "ty_free", TyBound: "ty_bound", Var: "tm_free",
+         Bound: "tm_bound", RelBound: "rel_bound", **CHILDREN}
+# The classes whose nodes cache their loose bounds.
+_CACHED = frozenset(c for c in CHILDREN if issubclass(c, (Type, Term)))
 
 
 def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
-    if isinstance(n, Type):
-        return map_type(n, m, td, md, rd)
-    if isinstance(n, Term):
-        return map_term(n, m, td, md, rd)
-    if isinstance(n, Relation):
-        return map_rel(n, m, td, md, rd)
-    return map_prop(n, m, td, md, rd)
+    """Rebuild `n` with `m`'s hooks applied to its variables, as if `n`
+    sat under td type, md term and rd relation binders; a subtree the
+    hooks leave unchanged comes back as the same object."""
+    cls = type(n)
+    kids = _WALK.get(cls)
+    if kids is None:
+        return n
+    if type(kids) is str:
+        return getattr(m, kids)(n, (td, md, rd))
+    if m.skips and cls in _CACHED:
+        ty, tm = n._lb or _loose(n)
+        if ((m.ty_from is None or ty <= td + m.ty_from)
+                and (m.tm_from is None or tm <= md + m.tm_from)):
+            return n
+    if cls is TypeRel:  # its body sits under one type binder per hint
+        kids = (("body", Type, len(n.hints), 0, 0), kids[1])
+    changes = None
+    for name, _, dt, dm, dr in kids:
+        c = getattr(n, name)
+        if c is None:
+            continue
+        if type(c) is tuple:
+            d = tuple([map_node(a, m, td + dt, md + dm, rd + dr) for a in c])
+            if all(a is b for a, b in zip(c, d)):
+                continue
+        else:
+            d = map_node(c, m, td + dt, md + dm, rd + dr)
+            if d is c:
+                continue
+        if changes is None:
+            changes = {}
+        changes[name] = d
+    if changes is not None:
+        n = rebuild(n, changes)
+    if cls is RelVar:
+        return m.rel_free(n, (td, md, rd))
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -672,14 +598,6 @@ class _SubstTerms(VarMap):
         return self.mapping.get(node.name, node)
 
 
-class _SubstRels(VarMap):
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def rel_free(self, node, env):
-        return self.mapping.get(node.name, node)
-
-
 def subst_types(obj: Node, mapping: dict[str, Type]) -> Node:
     """Simultaneous capture-avoiding substitution of free type variables."""
     if not mapping:
@@ -691,12 +609,6 @@ def subst_terms(obj: Node, mapping: dict[str, Term]) -> Node:
     if not mapping:
         return obj
     return map_node(obj, _SubstTerms(mapping))
-
-
-def subst_rels(obj: Node, mapping: dict[str, Relation]) -> Node:
-    if not mapping:
-        return obj
-    return map_node(obj, _SubstRels(mapping))
 
 
 def subst_type_in_type(ty: Type, name: str, rep: Type) -> Type:
@@ -711,93 +623,29 @@ def subst_term_in_term(t: Term, name: str, rep: Term) -> Term:
 # Free variables
 
 
-class _Collector(VarMap):
-    def __init__(self):
-        self.tys: list[str] = []
-        self.tms: list[str] = []
-        self.rels: list[str] = []
-
-    def ty_free(self, node, env):
-        if node.name not in self.tys:
-            self.tys.append(node.name)
-        return node
-
-    def tm_free(self, node, env):
-        if node.name not in self.tms:
-            self.tms.append(node.name)
-        return node
-
-    def rel_free(self, node, env):
-        if node.name not in self.rels:
-            self.rels.append(node.name)
-        return node
+def _names(obj: Node, cls: type) -> list[str]:
+    """The names of the `cls` nodes in obj, in first-occurrence order.
+    Bound variables are nameless, so every named variable is free."""
+    return list(dict.fromkeys(x.name for x in subnodes(obj)
+                              if type(x) is cls))
 
 
 def free_type_names(obj: Node) -> list[str]:
     """Free type variable names in first-occurrence order."""
-    c = _Collector()
-    map_node(obj, c)
-    return c.tys
+    return _names(obj, TyVar)
 
 
 def free_term_names(obj: Node) -> list[str]:
-    c = _Collector()
-    map_node(obj, c)
-    return c.tms
-
-
-def free_rel_names(obj: Node) -> list[str]:
-    c = _Collector()
-    map_node(obj, c)
-    return c.rels
+    return _names(obj, Var)
 
 
 def all_free_names(obj: Node) -> set[str]:
-    c = _Collector()
-    map_node(obj, c)
-    return set(c.tys) | set(c.tms) | set(c.rels)
+    return {x.name for x in subnodes(obj) if type(x) in (TyVar, Var, RelVar)}
 
 
 def contains_const(obj: Node) -> bool:
-    """True if any signature type constant occurs in a type or term."""
-
-    def scan_ty(t: Type) -> bool:
-        if isinstance(t, TyConst):
-            return True
-        if isinstance(t, Lolli):
-            return scan_ty(t.dom) or scan_ty(t.cod)
-        if isinstance(t, Tensor):
-            return scan_ty(t.left) or scan_ty(t.right)
-        if isinstance(t, (Bang, Forall)):
-            return scan_ty(t.body)
-        return False
-
-    def go(x: Term) -> bool:
-        if isinstance(x, LinLam):
-            return scan_ty(x.ty) or go(x.body)
-        if isinstance(x, App):
-            return go(x.fn) or go(x.arg)
-        if isinstance(x, TensorPair):
-            return go(x.left) or go(x.right)
-        if isinstance(x, (BangIntro, TyLam)):
-            return go(x.body)
-        if isinstance(x, TyApp):
-            return scan_ty(x.ty) or go(x.fn)
-        if isinstance(x, LetStar):
-            return go(x.scrut) or go(x.body)
-        if isinstance(x, LetTensor):
-            return (any(scan_ty(t) for t in (x.tyx, x.tyy) if t is not None)
-                    or go(x.scrut) or go(x.body))
-        if isinstance(x, LetBang):
-            return ((x.ty is not None and scan_ty(x.ty))
-                    or go(x.scrut) or go(x.body))
-        return False
-
-    if isinstance(obj, Type):
-        return scan_ty(obj)
-    if isinstance(obj, Term):
-        return go(obj)
-    raise TypeError("contains_const supports types and terms")
+    """True if any signature type constant occurs in obj."""
+    return any(isinstance(x, TyConst) for x in subnodes(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -1054,10 +902,6 @@ def ty_lams(names: Sequence[str], body: Term) -> Term:
     return body
 
 
-def let_star(scrut: Term, body: Term, span: Optional[Span] = None) -> LetStar:
-    return LetStar(scrut, body, span)
-
-
 def let_tensor(x: str, y: str, tyx: Optional[Type], tyy: Optional[Type],
                scrut: Term, body: Term, span: Optional[Span] = None) -> LetTensor:
     return LetTensor(x, y, tyx, tyy, scrut, close_tm(body, x, y), span)
@@ -1124,26 +968,6 @@ def open_forall(t: Forall, avoid: Iterable[str]) -> tuple[str, Type]:
     return n, instantiate_ty(t.body, TyVar(n))
 
 
-def open_ty_lam(t: TyLam, avoid: Iterable[str]) -> tuple[str, Term]:
-    n = fresh(t.hint, avoid)
-    return n, instantiate_ty(t.body, TyVar(n))
-
-
-def open_lin_lam(t: LinLam, avoid: Iterable[str]) -> tuple[str, Term]:
-    n = fresh(t.hint, avoid)
-    return n, instantiate_tm(t.body, Var(n))
-
-
-def open_let_tensor(t: LetTensor, avoid: Iterable[str]) -> tuple[str, str, Term]:
-    x, y = fresh_many([t.hintx, t.hinty], avoid)
-    return x, y, instantiate_tm(t.body, Var(x), Var(y))
-
-
-def open_let_bang(t: LetBang, avoid: Iterable[str]) -> tuple[str, Term]:
-    n = fresh(t.hint, avoid)
-    return n, instantiate_tm(t.body, Var(n))
-
-
 def open_compr(r: Compr, avoid: Iterable[str]) -> tuple[str, str, Proposition]:
     x, y = fresh_many([r.hintx, r.hinty], avoid)
     return x, y, instantiate_tm(r.body, Var(x), Var(y))
@@ -1191,12 +1015,6 @@ def lam_int(name: str, ty: Type, body: Term) -> Term:
     """Intuitionistic lambda sugar: fn y:!ty. let !name = y in body."""
     carrier = fresh(name, all_free_names(body) | {name})
     return lin_lam(carrier, Bang(ty), let_bang(name, ty, Var(carrier), body))
-
-
-def lam_ints(bindings: Sequence[tuple[str, Type]], body: Term) -> Term:
-    for name, ty in reversed(bindings):
-        body = lam_int(name, ty, body)
-    return body
 
 
 def compose(f: Term, g: Term, dom: Type, name: str = "x") -> Term:

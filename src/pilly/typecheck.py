@@ -42,7 +42,6 @@ class TypeCheckError(Exception):
 @dataclass
 class TypingResult:
     ty: Type
-    usage: dict[str, int]
     term: S.Term  # elaborated: let-pattern annotations filled in
 
 
@@ -74,18 +73,52 @@ def validate_context(ctx: TermContext) -> None:
 
 
 class _Inferencer:
-    def __init__(self, ctx: TermContext, seed: int = 0):
-        self.xi = list(ctx.xi)
-        self.gamma = dict(ctx.gamma)
-        self.delta = dict(ctx.delta)
-        self.salt = seed
-        self.counter = 0
+    """Infers under the binders of a term without opening them.
 
-    def fresh(self, hint: str) -> str:
-        self.counter += 1
-        return f"{hint}#{self.salt}.{self.counter}"
+    `tys` holds the hints of the type binders in scope, outermost first,
+    so a type's loose index k names `tys[-1-k]`.  `tms` holds the term
+    binders in scope, outermost first, as (hint, type, len(tys) when
+    bound, linear?); `Bound(k)` reads `tms[-1-k]`.  A binder's type is
+    shifted when it is read under later type binders.  The consumed set
+    holds the names of consumed context variables and the stack levels of
+    consumed bound ones.
+    """
 
-    def infer(self, t: S.Term) -> tuple[Type, dict[str, None], S.Term]:
+    def __init__(self, ctx: TermContext):
+        self.xi = ctx.xi
+        self.gamma = ctx.gamma
+        self.delta = ctx.delta
+        self.tys: list[str] = []
+        self.tms: list[tuple[str, Type, int, bool]] = []
+
+    def named(self, ty: Type) -> Type:
+        """`ty` with each type binder in scope named by its hint, for
+        messages; a hint that clashes with xi or an outer hint is
+        freshened."""
+        if not self.tys:
+            return ty
+        names = S.fresh_many(self.tys, self.xi)
+        return S.instantiate_ty(ty, *[S.TyVar(n) for n in names])
+
+    def show(self, ty: Type) -> str:
+        return print_type(self.named(ty))
+
+    def show_vars(self, used) -> str:
+        return ", ".join(self.tms[n][0] if isinstance(n, int) else n
+                         for n in used)
+
+    def bind(self, hint: str, ty: Type, linear: bool) -> int:
+        self.tms.append((hint, ty, len(self.tys), linear))
+        return len(self.tms) - 1
+
+    def infer(self, t: S.Term) -> tuple[Type, dict, S.Term]:
+        if isinstance(t, S.Bound):
+            level = len(self.tms) - 1 - t.index
+            if level < 0:
+                raise TypeCheckError(UNBOUND, "dangling bound variable", None)
+            _, ty, depth, linear = self.tms[level]
+            ty = S.shift(ty, ty_by=len(self.tys) - depth)
+            return ty, {level: None} if linear else {}, t
         if isinstance(t, S.Var):
             if t.name in self.delta:
                 return self.delta[t.name], {t.name: None}, t
@@ -99,34 +132,32 @@ class _Inferencer:
             return S.y_type(), {}, t
         if isinstance(t, S.LinLam):
             kind_check(self.xi, t.ty)
-            x = self.fresh(t.hint)
-            body = S.instantiate_tm(t.body, S.Var(x))
-            self.delta[x] = t.ty
-            bty, used, belab = self.infer(body)
-            del self.delta[x]
+            x = self.bind(t.hint, t.ty, True)
+            bty, used, belab = self.infer(t.body)
+            self.tms.pop()
             if x not in used:
                 raise TypeCheckError(
                     LINEAR_UNUSED,
                     f"linear variable {t.hint!r} is not used by the body",
                     t.span)
-            used = {n: None for n in used if n != x}
-            elab = S.LinLam(t.hint, t.ty, S.close_tm(belab, x), t.span)
-            return S.Lolli(t.ty, bty), used, elab
+            del used[x]
+            return (S.Lolli(t.ty, bty), used,
+                    S.LinLam(t.hint, t.ty, belab, t.span))
         if isinstance(t, S.App):
             fty, fused, felab = self.infer(t.fn)
             if not isinstance(fty, S.Lolli):
                 raise TypeCheckError(
                     NOT_A_FUNCTION,
-                    f"application head has type {print_type(fty)}",
-                    t.span, found=fty)
+                    f"application head has type {self.show(fty)}",
+                    t.span, found=self.named(fty))
             aty, aused, aelab = self.infer(t.arg)
             used = self._join(fused, aused, t.span)
             if aty != fty.dom:
                 raise TypeCheckError(
                     MISMATCH,
-                    f"argument has type {print_type(aty)}, expected "
-                    f"{print_type(fty.dom)}", t.span,
-                    expected=fty.dom, found=aty)
+                    f"argument has type {self.show(aty)}, expected "
+                    f"{self.show(fty.dom)}", t.span,
+                    expected=self.named(fty.dom), found=self.named(aty))
             return fty.cod, used, S.App(felab, aelab, t.span)
         if isinstance(t, S.TensorPair):
             lty, lused, lelab = self.infer(t.left)
@@ -136,26 +167,24 @@ class _Inferencer:
         if isinstance(t, S.BangIntro):
             bty, used, belab = self.infer(t.body)
             if used:
-                names = ", ".join(used)
                 raise TypeCheckError(
                     LINEAR_IN_BANG,
-                    f"linear variable(s) {names} consumed under '!'", t.span)
+                    f"linear variable(s) {self.show_vars(used)} consumed "
+                    "under '!'", t.span)
             return S.Bang(bty), {}, S.BangIntro(belab, t.span)
         if isinstance(t, S.TyLam):
-            a = self.fresh(t.hint)
-            body = S.instantiate_ty(t.body, S.TyVar(a))
-            self.xi.append(a)
-            bty, used, belab = self.infer(body)
-            self.xi.pop()
-            elab = S.TyLam(t.hint, S.close_ty(belab, a), t.span)
-            return S.Forall(t.hint, S.close_ty(bty, a)), used, elab
+            self.tys.append(t.hint)
+            bty, used, belab = self.infer(t.body)
+            self.tys.pop()
+            return (S.Forall(t.hint, bty), used,
+                    S.TyLam(t.hint, belab, t.span))
         if isinstance(t, S.TyApp):
             fty, used, felab = self.infer(t.fn)
             if not isinstance(fty, S.Forall):
                 raise TypeCheckError(
                     NOT_A_FORALL,
-                    f"type application head has type {print_type(fty)}",
-                    t.span, found=fty)
+                    f"type application head has type {self.show(fty)}",
+                    t.span, found=self.named(fty))
             kind_check(self.xi, t.ty)
             return (S.instantiate_ty(fty.body, t.ty), used,
                     S.TyApp(felab, t.ty, t.span))
@@ -163,8 +192,9 @@ class _Inferencer:
             sty, sused, selab = self.infer(t.scrut)
             if not isinstance(sty, S.Unit):
                 raise TypeCheckError(
-                    MISMATCH, f"let <> scrutinee has type {print_type(sty)}, "
-                    "expected I", t.span, expected=S.Unit(), found=sty)
+                    MISMATCH, f"let <> scrutinee has type {self.show(sty)}, "
+                    "expected I", t.span, expected=S.Unit(),
+                    found=self.named(sty))
             bty, bused, belab = self.infer(t.body)
             used = self._join(sused, bused, t.span)
             return bty, used, S.LetStar(selab, belab, t.span)
@@ -173,90 +203,78 @@ class _Inferencer:
             if not isinstance(sty, S.Tensor):
                 raise TypeCheckError(
                     MISMATCH, f"tensor pattern scrutinee has type "
-                    f"{print_type(sty)}", t.span, found=sty)
+                    f"{self.show(sty)}", t.span, found=self.named(sty))
             for ann, actual, which in ((t.tyx, sty.left, t.hintx),
                                        (t.tyy, sty.right, t.hinty)):
                 if ann is not None and ann != actual:
                     raise TypeCheckError(
                         MISMATCH,
                         f"pattern annotation on {which!r} is "
-                        f"{print_type(ann)}, scrutinee component is "
-                        f"{print_type(actual)}", t.span,
-                        expected=actual, found=ann)
-            x = self.fresh(t.hintx)
-            y = self.fresh(t.hinty)
-            body = S.instantiate_tm(t.body, S.Var(x), S.Var(y))
-            self.delta[x] = sty.left
-            self.delta[y] = sty.right
-            bty, bused, belab = self.infer(body)
-            del self.delta[x], self.delta[y]
+                        f"{self.show(ann)}, scrutinee component is "
+                        f"{self.show(actual)}", t.span,
+                        expected=self.named(actual), found=self.named(ann))
+            x = self.bind(t.hintx, sty.left, True)
+            y = self.bind(t.hinty, sty.right, True)
+            bty, bused, belab = self.infer(t.body)
+            del self.tms[x:]
             for n, hint in ((x, t.hintx), (y, t.hinty)):
                 if n not in bused:
                     raise TypeCheckError(
                         LINEAR_UNUSED,
                         f"linear pattern variable {hint!r} is not used",
                         t.span)
-            bused = {n: None for n in bused if n not in (x, y)}
+            del bused[x], bused[y]
             used = self._join(sused, bused, t.span)
             elab = S.LetTensor(t.hintx, t.hinty, sty.left, sty.right, selab,
-                               S.close_tm(belab, x, y), t.span)
+                               belab, t.span)
             return bty, used, elab
         if isinstance(t, S.LetBang):
             sty, sused, selab = self.infer(t.scrut)
             if not isinstance(sty, S.Bang):
                 raise TypeCheckError(
-                    MISMATCH, f"let ! scrutinee has type {print_type(sty)}, "
-                    "expected a !-type", t.span, found=sty)
+                    MISMATCH, f"let ! scrutinee has type {self.show(sty)}, "
+                    "expected a !-type", t.span, found=self.named(sty))
             if t.ty is not None and t.ty != sty.body:
                 raise TypeCheckError(
-                    MISMATCH, f"pattern annotation is {print_type(t.ty)}, "
-                    f"scrutinee carries {print_type(sty.body)}", t.span,
-                    expected=sty.body, found=t.ty)
-            x = self.fresh(t.hint)
-            body = S.instantiate_tm(t.body, S.Var(x))
-            self.gamma[x] = sty.body
-            bty, bused, belab = self.infer(body)
-            del self.gamma[x]
+                    MISMATCH, f"pattern annotation is {self.show(t.ty)}, "
+                    f"scrutinee carries {self.show(sty.body)}", t.span,
+                    expected=self.named(sty.body), found=self.named(t.ty))
+            self.bind(t.hint, sty.body, False)
+            bty, bused, belab = self.infer(t.body)
+            self.tms.pop()
             used = self._join(sused, bused, t.span)
-            elab = S.LetBang(t.hint, sty.body, selab, S.close_tm(belab, x),
-                             t.span)
+            elab = S.LetBang(t.hint, sty.body, selab, belab, t.span)
             return bty, used, elab
-        if isinstance(t, S.Bound):
-            raise TypeCheckError(UNBOUND, "dangling bound variable", None)
         raise TypeCheckError(ILL_KINDED, f"unrecognized term node {t!r}")
 
-    @staticmethod
-    def _join(a: dict[str, None], b: dict[str, None],
-              span: Optional[Span]) -> dict[str, None]:
+    def _join(self, a: dict, b: dict, span: Optional[Span]) -> dict:
         overlap = [n for n in b if n in a]
         if overlap:
-            names = ", ".join(overlap)
             raise TypeCheckError(
-                LINEAR_REUSED, f"linear variable(s) {names} consumed twice",
+                LINEAR_REUSED,
+                f"linear variable(s) {self.show_vars(overlap)} consumed twice",
                 span)
         out = dict(a)
         out.update(b)
         return out
 
 
-def infer_type(ctx: TermContext, t: S.Term, seed: int = 0) -> TypingResult:
+def infer_type(ctx: TermContext, t: S.Term) -> TypingResult:
     """Infer the unique type of a term, enforcing full linear consumption."""
     validate_context(ctx)
-    inf = _Inferencer(ctx, seed)
-    ty, used, elab = inf.infer(t)
+    ty, used, elab = _Inferencer(ctx).infer(t)
     leftover = [n for n in ctx.delta if n not in used]
     if leftover:
         names = ", ".join(leftover)
         raise TypeCheckError(
             LINEAR_UNUSED, f"linear variable(s) {names} not consumed",
             getattr(t, "span", None))
-    return TypingResult(ty, {n: 1 for n in ctx.delta}, elab)
+    return TypingResult(ty, elab)
 
 
-def check_type(ctx: TermContext, t: S.Term, expected: Type,
-               seed: int = 0) -> TypingResult:
+def check_type(ctx: TermContext, t: S.Term, expected: Type) -> TypingResult:
     kind_check(ctx.xi, expected)
-    res = infer_type(ctx, t, seed)
+    res = infer_type(ctx, t)
     if res.ty != expected:
         raise TypeCheckError(
             MISMATCH, f"term has type {print_type(res.ty)}, expected "

@@ -269,3 +269,29 @@ def gen_well_typed(rng: random.Random, depth: int = 5,
             delta[name] = g.type_(xi, 2)
     term, ty = g.gen(xi, gamma, delta, depth)
     return TermContext(tuple(xi), gamma, delta), term, ty
+
+
+def scramble(t: S.Term, rng: random.Random) -> S.Term:
+    """A copy of t with every binder hint replaced at random."""
+    if isinstance(t, S.LinLam):
+        return S.LinLam(f"h{rng.randrange(99)}", t.ty, scramble(t.body, rng))
+    if isinstance(t, S.App):
+        return S.App(scramble(t.fn, rng), scramble(t.arg, rng))
+    if isinstance(t, S.TensorPair):
+        return S.TensorPair(scramble(t.left, rng), scramble(t.right, rng))
+    if isinstance(t, S.BangIntro):
+        return S.BangIntro(scramble(t.body, rng))
+    if isinstance(t, S.TyLam):
+        return S.TyLam(f"h{rng.randrange(99)}", scramble(t.body, rng))
+    if isinstance(t, S.TyApp):
+        return S.TyApp(scramble(t.fn, rng), t.ty)
+    if isinstance(t, S.LetStar):
+        return S.LetStar(scramble(t.scrut, rng), scramble(t.body, rng))
+    if isinstance(t, S.LetTensor):
+        return S.LetTensor(f"h{rng.randrange(99)}", f"k{rng.randrange(99)}",
+                           t.tyx, t.tyy, scramble(t.scrut, rng),
+                           scramble(t.body, rng))
+    if isinstance(t, S.LetBang):
+        return S.LetBang(f"h{rng.randrange(99)}", t.ty,
+                         scramble(t.scrut, rng), scramble(t.body, rng))
+    return t

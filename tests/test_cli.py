@@ -153,6 +153,16 @@ class TestNormalize:
         assert [(e["kind"], e["status"], e["message"]) for e in got] == \
             [("#normalize", "error", "file did not parse")]
 
+    def test_failed_declaration_is_reported(self, write, capsys):
+        f = write("c.pilly", "term ok = <>\nterm bad = <> <>\n")
+        rc, got = run_json(["normalize", f, "bad"], capsys)
+        assert rc == 1
+        assert [(e["target"], e["kind"], e["status"]) for e in got] == [
+            (f"{f}:bad", "decl", "error"), (f"{f}:#normalize", "#normalize",
+                                            "error")]
+        assert got[0]["message"] == \
+            "2:12: NotAFunction: application head has type I"
+
     @pytest.mark.parametrize("flags, status", [((), "ok"),
                                                (("--fuel", "1"), "unknown")])
     def test_matches_directive(self, write, capsys, flags, status):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import gen_scoped_term, gen_type, gen_well_typed
+from conftest import gen_scoped_term, gen_type, gen_well_typed, scramble
 from pilly import syntax as S
 from pilly.parser import parse_term, parse_type
 from pilly.syntax import (Bang, Forall, Lolli, Tensor, TyVar, Unit,
@@ -161,33 +161,8 @@ class TestAlphaEq:
 
         for _ in range(50):
             t = gen_scoped_term(rng, ["s"], ["z"], 4)
-            renamed = _scramble(t, rng)
+            renamed = scramble(t, rng)
             assert alpha_eq(t, renamed)
-
-
-def _scramble(t, rng):
-    if isinstance(t, S.LinLam):
-        return S.LinLam(f"h{rng.randrange(99)}", t.ty, _scramble(t.body, rng))
-    if isinstance(t, S.App):
-        return S.App(_scramble(t.fn, rng), _scramble(t.arg, rng))
-    if isinstance(t, S.TensorPair):
-        return S.TensorPair(_scramble(t.left, rng), _scramble(t.right, rng))
-    if isinstance(t, S.BangIntro):
-        return S.BangIntro(_scramble(t.body, rng))
-    if isinstance(t, S.TyLam):
-        return S.TyLam(f"h{rng.randrange(99)}", _scramble(t.body, rng))
-    if isinstance(t, S.TyApp):
-        return S.TyApp(_scramble(t.fn, rng), t.ty)
-    if isinstance(t, S.LetStar):
-        return S.LetStar(_scramble(t.scrut, rng), _scramble(t.body, rng))
-    if isinstance(t, S.LetTensor):
-        return S.LetTensor(f"h{rng.randrange(99)}", f"k{rng.randrange(99)}",
-                           t.tyx, t.tyy, _scramble(t.scrut, rng),
-                           _scramble(t.body, rng))
-    if isinstance(t, S.LetBang):
-        return S.LetBang(f"h{rng.randrange(99)}", t.ty,
-                         _scramble(t.scrut, rng), _scramble(t.body, rng))
-    return t
 
 
 class TestRelSignature:
@@ -318,3 +293,24 @@ class TestLooseBounds:
         assert "_lb" not in repr(a)
         assert [f.name for f in dataclasses.fields(a)] == ["hint", "body",
                                                            "span"]
+
+
+class TestChildTable:
+    def test_table_covers_the_syntax(self):
+        """Every node class lists exactly its node-valued fields in the
+        table, with their sort; a class without any is a leaf."""
+        sorts = (S.Type, S.Term, S.Relation, S.Proposition)
+        todo, classes = list(sorts), set()
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                classes.add(sub)
+                todo.append(sub)
+        assert set(S.CHILDREN) <= classes
+        for cls in classes:
+            assert dataclasses.is_dataclass(cls), cls
+            annotated = {f.name: f.type for f in dataclasses.fields(cls)
+                         if any(s.__name__ in f.type for s in sorts)}
+            kids = S.CHILDREN.get(cls, ())
+            assert [name for name, *_ in kids] == list(annotated), cls
+            for name, sort, *_ in kids:
+                assert sort.__name__ in annotated[name], (cls, name)

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from conftest import TypedGen, gen_well_typed
+from conftest import TypedGen, gen_well_typed, scramble
 from pilly import syntax as S
 from pilly.parser import parse_term, parse_type
-from pilly.pretty import pp
+from pilly.pretty import pp, print_type
 from pilly.syntax import TermContext, TyVar, Unit
 from pilly.typecheck import (LINEAR_IN_BANG, LINEAR_REUSED, LINEAR_UNUSED,
                              MISMATCH, NOT_A_FORALL, NOT_A_FUNCTION, UNBOUND,
@@ -55,11 +55,6 @@ class TestGoldenInference:
     def test_intuitionistic_lambda_sugar(self):
         check_type(ctx(["s"]), parse_term("lam x:s. x"), parse_type("s -> s"))
 
-    def test_usage_record(self):
-        c = ctx(["s"], delta={"x": TyVar("s")})
-        r = infer_type(c, parse_term("x"))
-        assert r.usage == {"x": 1}
-
     def test_elaboration_fills_annotations(self):
         r = infer_type(EMPTY, parse_term("fn p:I * I. let x (*) y = p in "
                                          "let <> = x in y"))
@@ -95,6 +90,36 @@ class TestNegative:
             infer_type(c, parse_term(src))
         assert e.value.kind == kind
 
+    def test_linear_in_bang_is_located(self):
+        src = "fn x:I. !x"
+        with pytest.raises(TypeCheckError) as e:
+            infer_type(EMPTY, parse_term(src))
+        assert e.value.kind == LINEAR_IN_BANG
+        assert e.value.span == S.Span(src.index("!"), len(src))
+
+    def test_messages_name_binders_by_hint(self):
+        named = [
+            ("fn x:I. fn y:I -o I -o I. y x x", EMPTY,
+             "linear variable(s) x consumed twice"),
+            ("/\\a. fn x:a. (fn y:I. y) x", EMPTY,
+             "argument has type a, expected I"),
+            ("/\\a. fn x:a. fn y:a. let <> = x in y", EMPTY,
+             "let <> scrutinee has type a, expected I"),
+            ("/\\a. fn x:a. f x",
+             ctx(["a"], gamma={"f": parse_type("a -o I")}),
+             "argument has type a1, expected a"),
+        ]
+        cases = [(src, c, None) for src, c, _ in NEGATIVE_CASES] + named
+        for src, c, message in cases:
+            with pytest.raises(TypeCheckError) as e:
+                infer_type(c, parse_term(src))
+            assert "#" not in str(e.value), src
+            if message is not None:
+                assert e.value.message == message
+            for ty in (e.value.expected, e.value.found):
+                if ty is not None:
+                    print_type(ty)
+
     def test_pattern_annotation_mismatch(self):
         c = ctx(["s"], delta={"p": S.Tensor(TyVar("s"), Unit())})
         with pytest.raises(TypeCheckError) as e:
@@ -117,12 +142,12 @@ class TestNegative:
 
 
 class TestStructuralProperties:
-    def test_uniqueness_across_seeds(self):
-        rng = random.Random(31)
+    def test_uniqueness_across_renamings(self):
+        rng, hints = random.Random(31), random.Random(131)
         for _ in range(150):
             c, t, _ = gen_well_typed(rng, 4)
-            a = infer_type(c, t, seed=1).ty
-            b = infer_type(c, t, seed=2).ty
+            a = infer_type(c, t).ty
+            b = infer_type(c, scramble(t, hints)).ty
             assert a == b
 
     def test_gamma_weakening_invisible(self):
@@ -188,10 +213,15 @@ def _run_lemma_instance(rng, which):
 
 
 class TestLinearSoundness:
-    def test_usage_marks_every_linear_variable_once(self):
+    def test_every_linear_variable_is_consumed(self):
         rng = random.Random(34)
         for _ in range(150):
             c, t, _ = gen_well_typed(rng, 4)
-            usage = infer_type(c, t).usage
-            assert set(usage) == set(c.delta)
-            assert all(v == 1 for v in usage.values())
+            infer_type(c, t)
+            for name in c.delta:
+                narrowed = TermContext(c.xi, dict(c.gamma),
+                                       {n: ty for n, ty in c.delta.items()
+                                        if n != name})
+                with pytest.raises(TypeCheckError) as e:
+                    infer_type(narrowed, t)
+                assert e.value.kind == UNBOUND
