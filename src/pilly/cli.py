@@ -224,7 +224,7 @@ def run_directive(d: P.Directive, elab: Elaborated, target: str, cfg: Config,
             if isinstance(r, Equal):
                 done("ok")
             elif isinstance(r, NotEqual):
-                done("error", f"distinct normal forms: "
+                done("error", f"not βη-convertible: "
                      f"{print_term(r.lhs_nf)} vs {print_term(r.rhs_nf)}")
             else:
                 done("unknown", r.reason)

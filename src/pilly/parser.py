@@ -209,6 +209,15 @@ class Parser:
     def fail(self, msg: str) -> ParseError:
         return ParseError(msg, self.peek().span)
 
+    def parse(self, production: str):
+        """Run one production.  The descent recurses once per level of
+        nesting, so input nested past Python's stack gets a located
+        `nesting too deep` error at the token it reached."""
+        try:
+            return getattr(self, production)()
+        except RecursionError:
+            raise self.fail("nesting too deep") from None
+
     # types ---------------------------------------------------------------
 
     def type_(self) -> S.Type:
@@ -641,7 +650,7 @@ def parse_file(text: str, sig: Signature | None = None
     while not p.at("eof"):
         start_pos = p.pos
         try:
-            d = p.decl()
+            d = p.parse("decl")
             if isinstance(d, (TypeDecl, TermDecl, RelDecl)):
                 if d.name in seen:
                     diags.append(Diagnostic(
@@ -673,7 +682,7 @@ def parse_file(text: str, sig: Signature | None = None
 def _parse_entire(text: str, sig: Signature | None, production: str):
     toks = tokenize(text)
     p = Parser(toks, sig)
-    node = getattr(p, production)()
+    node = p.parse(production)
     if not p.at("eof"):
         t = p.peek()
         raise ParseError(f"unexpected trailing input {t.text!r}", t.span)
@@ -688,7 +697,7 @@ def parse_encode_type(text: str) -> S.Type:
     """Type parser for encode arguments: also accepts s + t, 0, 1 and N."""
     toks = tokenize(text)
     p = Parser(toks, None, extended_types=True)
-    node = p.type_()
+    node = p.parse("type_")
     if not p.at("eof"):
         t = p.peek()
         raise ParseError(f"unexpected trailing input {t.text!r}", t.span)

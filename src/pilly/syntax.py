@@ -13,8 +13,13 @@ a node class's children and the binders each sits under; `map_node`,
 `subnodes`, `rebuild` and the loose bounds below, and the rewriter's
 congruence walk, all read it.  Each type and term node caches, on first
 use and outside its dataclass fields, one more than its largest loose
-index in each namespace, so shifting and instantiation return a subtree
-they cannot change without walking it.
+index in each namespace, and its free type names and free term names in
+first-occurrence order.  Shifting and instantiation return a subtree
+with no loose index they act on without walking it; closing and
+substitution (`close_*`, `subst_*`) return one that lacks the names they
+act on, and `close_rel` every type and term.  The free-name queries read
+the caches of the outermost types and terms, so they cost the number of
+names on a cached node; `rebuild` drops both caches.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ def _span():
 class Type:
     __slots__ = ()
     _lb = None  # cached loose bounds, see _loose; not a dataclass field
+    _fn = None  # cached free names, see _free; not a dataclass field
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,7 @@ class TyConst(Type):
 class Term:
     __slots__ = ()
     _lb = None  # cached loose bounds, see _loose; not a dataclass field
+    _fn = None  # cached free names, see _free; not a dataclass field
 
 
 @dataclass(frozen=True)
@@ -431,14 +438,18 @@ CHILDREN: dict[type, tuple[tuple[str, type, int, int, int], ...]] = {
 }
 
 
+_new = object.__new__  # a global read is cheaper, and rebuild is hot
+
+
 def rebuild(n: Node, changes: dict[str, object]) -> Node:
     """`n` with the fields in `changes` replaced and every other field,
     hints and span included, kept.  Copies the instance dictionary, as
-    `copy.copy` does, without the cached loose bounds."""
-    new = object.__new__(type(n))
+    `copy.copy` does, without the cached loose bounds and free names."""
+    new = _new(type(n))
     d = new.__dict__
     d.update(n.__dict__)
     d.pop("_lb", None)
+    d.pop("_fn", None)
     d.update(changes)
     return new
 
@@ -465,19 +476,28 @@ def subnodes(obj: Node):
 Env = tuple[int, int, int]
 
 
+# The value of `VarMap.skips` for a map that skips by free names.
+BY_NAMES = "names"
+
+
 class VarMap:
     """Identity transformation; subclasses hook the six variable cases.
 
     `map_node` calls `rel_free` on a relation variable after mapping its
     domain and codomain, and each other hook on its leaf.  A map whose
-    hooks change nothing free and only bound indices at or above
-    `depth + ty_from` (type namespace) and `depth + tm_from` (term
-    namespace) sets `skips`; `map_node` then returns a type or term
-    subtree with no such loose index as it is, without walking it.  None
-    means the map changes no index in that namespace.
+    `skips` is set lets `map_node` return a type or term subtree as it
+    is, without walking it, where its hooks cannot change the subtree:
+    - `skips = True`: the hooks change nothing free and only bound
+      indices at or above `depth + ty_from` (type namespace) and `depth +
+      tm_from` (term namespace), None meaning no index in that namespace;
+      a subtree with no such loose index is skipped;
+    - `skips = BY_NAMES`: the hooks change no bound index and only the
+      free names in `names`; a subtree whose cached free names miss them
+      is skipped.
     """
 
     skips = False
+    names: frozenset[str] = frozenset()
     ty_from: int | None = 0
     tm_from: int | None = 0
 
@@ -530,11 +550,85 @@ TyVar._lb = Unit._lb = Var._lb = Star._lb = Y._lb = _CLOSED
 TyBound._lb = property(lambda n: (n.index + 1, 0))
 Bound._lb = property(lambda n: (0, n.index + 1))
 
+# The child fields of each inner type and term class, in field order.
+_TT_KIDS = {cls: tuple(name for name, *_ in kids)
+            for cls, kids in CHILDREN.items() if issubclass(cls, (Type, Term))}
+
+
+def _fill(n: Type | Term, key: str, compute) -> None:
+    """Call `compute` on every node of n whose `key` cache is empty,
+    children before parents.  The nodes are listed outermost first with
+    an explicit stack and computed in reverse, so `compute` finds every
+    child cached and deep input does not recurse."""
+    todo, order = [n], []
+    while todo:
+        x = todo.pop()
+        order.append(x)
+        for name in _TT_KIDS[type(x)]:
+            c = getattr(x, name)
+            if type(c) is tuple:
+                todo.extend(a for a in c if getattr(a, key) is None)
+            elif c is not None and getattr(c, key) is None:
+                todo.append(c)
+    for x in reversed(order):
+        compute(x)
+
+
+def loose_bounds(n: Type | Term) -> tuple[int, int]:
+    """`_loose` for input that may be deep: fills the cache children
+    first, with an explicit stack."""
+    if n._lb is None:
+        _fill(n, "_lb", _loose)
+    return n._lb
+
+
+_NO_NAMES = ((), ())
+
+
+def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """The names of `a`, then those of `b` that `a` lacks."""
+    if not a or a is b:
+        return b
+    extra = [x for x in b if x not in a]
+    return a + tuple(extra) if extra else a
+
+
+def _free_of(x: Type | Term) -> None:
+    """Cache x's free names from its children's caches."""
+    tys = tms = ()
+    for name in _TT_KIDS[type(x)]:
+        c = getattr(x, name)
+        if c is None:
+            continue
+        for y in c if type(c) is tuple else (c,):
+            cty, ctm = y._fn
+            if cty:
+                tys = _merge(tys, cty)
+            if ctm:
+                tms = _merge(tms, ctm)
+    x.__dict__["_fn"] = (tys, tms) if tys or tms else _NO_NAMES
+
+
+def _free(n: Type | Term) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(free type names, free term names) of a type or term, each in
+    first-occurrence order; computed once per node, children first with
+    an explicit stack, and cached outside the dataclass fields.  Bound
+    variables are nameless, so every named variable is free."""
+    if n._fn is None:
+        _fill(n, "_fn", _free_of)
+    return n._fn
+
+
+# Leaves hold their names on the class: none, or their own.
+TyBound._fn = Unit._fn = Bound._fn = Star._fn = Y._fn = _NO_NAMES
+TyVar._fn = property(lambda n: ((n.name,), ()))
+Var._fn = property(lambda n: ((), (n.name,)))
+
 # What map_node does at each class: call the named hook (a variable),
 # walk the children (an inner node), or nothing (a closed leaf).
 _WALK = {TyVar: "ty_free", TyBound: "ty_bound", Var: "tm_free",
          Bound: "tm_bound", RelBound: "rel_bound", **CHILDREN}
-# The classes whose nodes cache their loose bounds.
+# The classes whose nodes cache their loose bounds and free names.
 _CACHED = frozenset(c for c in CHILDREN if issubclass(c, (Type, Term)))
 
 
@@ -548,11 +642,17 @@ def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
         return n
     if type(kids) is str:
         return getattr(m, kids)(n, (td, md, rd))
-    if m.skips and cls in _CACHED:
-        ty, tm = n._lb or _loose(n)
-        if ((m.ty_from is None or ty <= td + m.ty_from)
-                and (m.tm_from is None or tm <= md + m.tm_from)):
-            return n
+    skips = m.skips
+    if skips and cls in _CACHED:
+        if skips is BY_NAMES:
+            tys, tms = n._fn or _free(n)
+            if m.names.isdisjoint(tys) and m.names.isdisjoint(tms):
+                return n
+        else:
+            ty, tm = n._lb or _loose(n)
+            if ((m.ty_from is None or ty <= td + m.ty_from)
+                    and (m.tm_from is None or tm <= md + m.tm_from)):
+                return n
     if cls is TypeRel:  # its body sits under one type binder per hint
         kids = (("body", Type, len(n.hints), 0, 0), kids[1])
     changes = None
@@ -583,16 +683,22 @@ def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
 
 
 class _SubstTypes(VarMap):
+    skips = BY_NAMES
+
     def __init__(self, mapping):
         self.mapping = mapping
+        self.names = frozenset(mapping)
 
     def ty_free(self, node, env):
         return self.mapping.get(node.name, node)
 
 
 class _SubstTerms(VarMap):
+    skips = BY_NAMES
+
     def __init__(self, mapping):
         self.mapping = mapping
+        self.names = frozenset(mapping)
 
     def tm_free(self, node, env):
         return self.mapping.get(node.name, node)
@@ -623,24 +729,47 @@ def subst_term_in_term(t: Term, name: str, rep: Term) -> Term:
 # Free variables
 
 
-def _names(obj: Node, cls: type) -> list[str]:
-    """The names of the `cls` nodes in obj, in first-occurrence order.
-    Bound variables are nameless, so every named variable is free."""
-    return list(dict.fromkeys(x.name for x in subnodes(obj)
-                              if type(x) is cls))
+def _free_names(obj: Node) -> tuple[Iterable[str], Iterable[str],
+                                    Iterable[str]]:
+    """The free type, term and relation names of obj, each in
+    first-occurrence order.  A type or term answers from its cache; a
+    relation or proposition walks its own nodes and reads the caches of
+    its outermost types and terms."""
+    if isinstance(obj, (Type, Term)):
+        tys, tms = obj._fn or _free(obj)
+        return tys, tms, ()
+    tys, tms, rels = {}, {}, {}
+    todo = [obj]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (Type, Term)):
+            a, b = x._fn or _free(x)
+            tys.update(dict.fromkeys(a))
+            tms.update(dict.fromkeys(b))
+            continue
+        if type(x) is RelVar:
+            rels[x.name] = None
+        for name, *_ in reversed(CHILDREN.get(type(x), ())):
+            c = getattr(x, name)
+            if type(c) is tuple:
+                todo.extend(reversed(c))
+            elif c is not None:
+                todo.append(c)
+    return tys, tms, rels
 
 
 def free_type_names(obj: Node) -> list[str]:
     """Free type variable names in first-occurrence order."""
-    return _names(obj, TyVar)
+    return list(_free_names(obj)[0])
 
 
 def free_term_names(obj: Node) -> list[str]:
-    return _names(obj, Var)
+    return list(_free_names(obj)[1])
 
 
 def all_free_names(obj: Node) -> set[str]:
-    return {x.name for x in subnodes(obj) if type(x) in (TyVar, Var, RelVar)}
+    tys, tms, rels = _free_names(obj)
+    return {*tys, *tms, *rels}
 
 
 def contains_const(obj: Node) -> bool:
@@ -765,13 +894,16 @@ def instantiate_rel(body: Node, *rels: Relation) -> Node:
 
 
 class _CloseTy(VarMap):
+    skips = BY_NAMES
+
     def __init__(self, names: Sequence[str]):
-        self.names = list(names)
-        self.n = len(self.names)
+        self.order = names
+        self.names = frozenset(names)
+        self.n = len(names)
 
     def ty_free(self, node, env):
         if node.name in self.names:
-            i = self.names.index(node.name)
+            i = self.order.index(node.name)
             return TyBound(env[0] + self.n - 1 - i)
         return node
 
@@ -782,13 +914,16 @@ def close_ty(obj: Node, *names: str) -> Node:
 
 
 class _CloseTm(VarMap):
+    skips = BY_NAMES
+
     def __init__(self, names: Sequence[str]):
-        self.names = list(names)
-        self.n = len(self.names)
+        self.order = names
+        self.names = frozenset(names)
+        self.n = len(names)
 
     def tm_free(self, node, env):
         if node.name in self.names:
-            i = self.names.index(node.name)
+            i = self.order.index(node.name)
             return Bound(env[1] + self.n - 1 - i)
         return node
 
@@ -798,6 +933,9 @@ def close_tm(obj: Node, *names: str) -> Node:
 
 
 class _CloseRel(VarMap):
+    skips = True
+    ty_from = tm_from = None  # types and terms hold no relation variables
+
     def __init__(self, name: str):
         self.name = name
 

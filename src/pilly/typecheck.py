@@ -45,13 +45,18 @@ class TypingResult:
     term: S.Term  # elaborated: let-pattern annotations filled in
 
 
-def kind_check(xi: tuple[str, ...] | list[str], ty: Type) -> None:
-    """A type is well kinded iff all its free variables are in xi."""
+def kind_check(xi: tuple[str, ...] | list[str], ty: Type, depth: int = 0,
+               span: Optional[Span] = None) -> None:
+    """A type is well kinded under xi and `depth` type binders iff all its
+    free variables are in xi and each loose index names one of the
+    binders.  Errors carry the type's own span, or else `span`."""
+    span = getattr(ty, "span", None) or span
     for name in S.free_type_names(ty):
         if name not in xi:
             raise TypeCheckError(
-                UNBOUND, f"type variable {name!r} is not in scope",
-                getattr(ty, "span", None))
+                UNBOUND, f"type variable {name!r} is not in scope", span)
+    if S.loose_bounds(ty)[0] > depth:
+        raise TypeCheckError(UNBOUND, "dangling type index", span)
 
 
 def validate_context(ctx: TermContext) -> None:
@@ -69,7 +74,8 @@ def validate_context(ctx: TermContext) -> None:
             except TypeCheckError as e:
                 raise TypeCheckError(
                     CONTEXT_ILL_FORMED,
-                    f"type of {n!r} is not well kinded: {e.message}") from e
+                    f"type of {n!r} is not well kinded: {e.message}",
+                    e.span) from e
 
 
 class _Inferencer:
@@ -131,7 +137,7 @@ class _Inferencer:
         if isinstance(t, S.Y):
             return S.y_type(), {}, t
         if isinstance(t, S.LinLam):
-            kind_check(self.xi, t.ty)
+            kind_check(self.xi, t.ty, len(self.tys), t.span)
             x = self.bind(t.hint, t.ty, True)
             bty, used, belab = self.infer(t.body)
             self.tms.pop()
@@ -185,7 +191,7 @@ class _Inferencer:
                     NOT_A_FORALL,
                     f"type application head has type {self.show(fty)}",
                     t.span, found=self.named(fty))
-            kind_check(self.xi, t.ty)
+            kind_check(self.xi, t.ty, len(self.tys), t.span)
             return (S.instantiate_ty(fty.body, t.ty), used,
                     S.TyApp(felab, t.ty, t.span))
         if isinstance(t, S.LetStar):

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import time
 
 import jsonschema
@@ -93,6 +94,16 @@ class TestCheck:
         assert main(["check", f1, f2]) == 0
         out = capsys.readouterr().out
         assert ":a" in out and ":b" in out
+
+    @pytest.mark.parametrize("depth", [200, 2000])
+    def test_deep_nesting_is_a_located_parse_error(self, write, capsys,
+                                                   depth):
+        src = "term t = " + "(" * depth + "<>" + ")" * depth + "\n"
+        assert main(["check", write("deep.pilly", src)]) == 1
+        out = capsys.readouterr().out
+        located = re.search(r"\b1:(\d+): nesting too deep", out)
+        assert located and int(located.group(1)) > len("term t = ")
+        assert "internal error" not in out
 
     def test_check_prints_inferred_type_of_y(self, write, capsys):
         f = write("y.pilly", "term y2 = Y\n#check y2\n")
@@ -230,7 +241,7 @@ class TestEqual:
                                        ["equal", FILE, lhs, rhs])
         assert got["status"] == status
         if status == "error":
-            assert got["message"].startswith("distinct normal forms: ")
+            assert got["message"].startswith("not βη-convertible: ")
 
     def test_ill_typed_side_is_type_error(self, write, capsys):
         f = write("e.pilly", "")

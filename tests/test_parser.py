@@ -86,6 +86,24 @@ class TestFileParsing:
         assert diags
         assert "expected" in diags[0].message
 
+    def test_deep_nesting_is_a_located_error(self):
+        """Nesting past Python's stack is a located parse error, and the
+        file parses on at the next declaration; shallower input still
+        parses (propositions backtrack, so they stay at 40 levels)."""
+        for parse, atom, ok in ((parse_term, "x", 150), (parse_type, "a", 150),
+                                (parse_prop, "T", 40)):
+            assert parse("(" * ok + atom + ")" * ok) is not None
+            with pytest.raises(ParseError) as e:
+                parse("(" * 2000 + atom + ")" * 2000)
+            assert e.value.message == "nesting too deep"
+            assert 0 < e.value.span.start < 2000
+        deep = "!" * 3000 + "<>"
+        with pytest.raises(ParseError):
+            parse_term(deep)
+        f, diags = parse_file(f"term a = {deep}\nterm b = <>")
+        assert [d.message for d in diags] == ["nesting too deep"]
+        assert [d.name for d in f.decls] == ["b"]
+
     def test_resynchronization(self):
         src = "term a = (<>\nterm b = <>"
         f, diags = parse_file(src)

@@ -11,7 +11,9 @@ import random
 
 import pytest
 
-from conftest import gen_scoped_term, gen_type, gen_well_typed, scramble
+from conftest import (gen_scoped_prop, gen_scoped_rel, gen_scoped_term,
+                      gen_type, gen_well_typed, scramble)
+from pilly import encodings as E
 from pilly import syntax as S
 from pilly.parser import parse_term, parse_type
 from pilly.syntax import (Bang, Forall, Lolli, Tensor, TyVar, Unit,
@@ -293,6 +295,157 @@ class TestLooseBounds:
         assert "_lb" not in repr(a)
         assert [f.name for f in dataclasses.fields(a)] == ["hint", "body",
                                                            "span"]
+
+
+# --- cached free names: the queries read each type or term node's cached
+# names; the pre-order walk over `subnodes` is the reference
+
+
+def _walk_names(obj, cls):
+    return list(dict.fromkeys(x.name for x in S.subnodes(obj)
+                              if isinstance(x, cls)))
+
+
+def _opened(obj, names=None):
+    """obj with every binder opened, outermost first, to the names o0,
+    o1, ...: the binders stay, vacuous, and free names sit at every
+    depth."""
+    names = names if names is not None else itertools.count()
+    if isinstance(obj, (S.TyLam, S.Forall, S.ForallTy, S.ExistsTy)):
+        obj = S.rebuild(obj, {"body": S.instantiate_ty(
+            obj.body, TyVar(f"o{next(names)}"))})
+    elif isinstance(obj, (S.LinLam, S.LetBang, S.ForallTm, S.ExistsTm)):
+        obj = S.rebuild(obj, {"body": S.instantiate_tm(
+            obj.body, S.Var(f"o{next(names)}"))})
+    elif isinstance(obj, (S.LetTensor, S.Compr)):
+        obj = S.rebuild(obj, {"body": S.instantiate_tm(
+            obj.body, S.Var(f"o{next(names)}"), S.Var(f"o{next(names)}"))})
+    changes = {}
+    for name, sort, *_ in S.CHILDREN.get(type(obj), ()):
+        c = getattr(obj, name)
+        if type(c) is tuple:
+            changes[name] = tuple(_opened(a, names) for a in c)
+        elif c is not None and not (type(obj) is S.TypeRel and sort is S.Type):
+            changes[name] = _opened(c, names)
+    return S.rebuild(obj, changes) if changes else obj
+
+
+def _name_corpus():
+    """Fresh roots: every catalog bundle's type, combinators and laws,
+    with every binder opened, and seeded scoped terms, propositions and
+    relations over free names."""
+    out = []
+    for b in E.catalog().values():
+        out.append(b.defined_type)
+        for t, ty in b.combinators.values():
+            out += [t, ty]
+        for _, lhs, rhs in b.beta_laws:
+            out += [lhs, rhs]
+        out += [p for _, p in b.schema_laws]
+    out = [_opened(o) for o in out]
+    rng = random.Random(29)
+    rels = {"R": (Unit(), TyVar("s"), S.Flavor.REL)}
+    for _ in range(30):
+        out.append(gen_scoped_term(rng, ["s", "t"], ["z", "w"], 5))
+        out.append(gen_scoped_prop(rng, ["s"], ["z"], rels, 4))
+        out.append(gen_scoped_rel(rng, ["s", "t"], ["w"], rels, 3))
+    return out
+
+
+def _assert_shared(old, new):
+    """Each subtree of `new` equal to the subtree of `old` at the same
+    place is that very object."""
+    todo = [(old, new)]
+    while todo:
+        a, b = todo.pop()
+        if a == b:
+            assert a is b
+        elif type(a) is type(b):
+            for name, *_ in S.CHILDREN.get(type(a), ()):
+                ca, cb = getattr(a, name), getattr(b, name)
+                if type(ca) is tuple and len(ca) == len(cb):
+                    todo.extend(zip(ca, cb))
+                elif ca is not None and cb is not None:
+                    todo.append((ca, cb))
+
+
+class TestFreeNameCache:
+    @pytest.mark.parametrize("outer_first", [True, False])
+    def test_queries_match_a_walk(self, outer_first):
+        """Same names, in the same order, whether the caches fill from
+        the root down or from the leaves up (at most 150 nodes a root)."""
+        checked = named = 0
+        for obj in _name_corpus():
+            nodes = list(S.subnodes(obj))
+            nodes = nodes[::len(nodes) // 150 + 1]
+            if not outer_first:
+                nodes.reverse()
+            for n in nodes:
+                tys = _walk_names(n, TyVar)
+                tms = _walk_names(n, S.Var)
+                assert S.free_type_names(n) == tys
+                assert S.free_term_names(n) == tms
+                assert S.all_free_names(n) == set(
+                    tys + tms + _walk_names(n, S.RelVar))
+                if isinstance(n, (S.Type, S.Term)):
+                    assert S._free(n) == (tuple(tys), tuple(tms))
+                checked += 1
+                named += bool(tys or tms)
+        assert named > checked // 2
+
+    def test_name_maps_match_a_full_walk(self):
+        """close_* and subst_* skip the subtrees that miss their names:
+        the result is the full walk's, and what they leave unchanged is
+        shared."""
+        for i, obj in enumerate(_name_corpus()):
+            tys, tms = S.free_type_names(obj), S.free_term_names(obj)
+            rels = sorted(S.all_free_names(obj) - set(tys) - set(tms))
+            cases = []
+            if tys:
+                a = tys[i % len(tys)]
+                cases += [(S.close_ty(obj, *tys[:2]), S._CloseTy(tys[:2])),
+                          (S.subst_types(obj, {a: Unit()}),
+                           S._SubstTypes({a: Unit()}))]
+            if tms:
+                x = tms[i % len(tms)]
+                rep = S.App(S.Var("q"), S.Star())
+                cases += [(S.close_tm(obj, *tms[-2:]), S._CloseTm(tms[-2:])),
+                          (S.subst_terms(obj, {x: rep}),
+                           S._SubstTerms({x: rep}))]
+            if rels:
+                cases.append((S.close_rel(obj, rels[0]), S._CloseRel(rels[0])))
+            for got, m in cases:
+                assert got == _full_walk(obj, m)
+                _assert_shared(obj, got)
+
+    def test_name_free_subtrees_are_not_walked(self):
+        big = parse_term("/\\a. fn y:a -o a. fn z:a. y (let !w = !z in w) k")
+        t = S.App(S.App(big, S.Var("x")), big)
+        calls = []
+
+        class Spy(S._CloseTm):
+            def tm_free(self, node, env):
+                calls.append(node.name)
+                return super().tm_free(node, env)
+
+        got = S.map_node(t, Spy(("x",)))
+        assert calls == ["x"]
+        assert got.fn.fn is big and got.arg is big
+        assert S.close_tm(big, "x") is big
+        assert S.subst_terms(big, {"x": S.Star()}) is big
+        assert S.subst_types(big, {"a": Unit()}) is big
+        assert S.close_rel(big, "R") is big
+
+    def test_rebuild_drops_the_cache(self):
+        t = S.App(S.Var("f"), S.TyApp(S.Var("x"), TyVar("a")))
+        assert S.free_term_names(t) == ["f", "x"]
+        u = S.rebuild(t, {"arg": S.TyApp(S.Var("y"), TyVar("b"))})
+        assert S.free_term_names(u) == ["f", "y"]
+        assert S.free_type_names(u) == ["b"]
+        assert S.all_free_names(u) == {"f", "y", "b"}
+        assert S.free_type_names(S.rebuild(u, {"fn": S.Var("g")})) == ["b"]
+        assert "_fn" not in repr(t) and t == S.App(S.Var("f"), S.TyApp(
+            S.Var("x"), TyVar("a")))
 
 
 class TestChildTable:

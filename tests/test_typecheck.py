@@ -140,6 +140,49 @@ class TestNegative:
                        S.Star())
         assert e.value.kind == CONTEXT_ILL_FORMED
 
+    def test_dangling_type_index_is_rejected(self):
+        """An annotation or a context type whose type index names no
+        binder is ill kinded, with the annotated node's span."""
+        at = S.Span(3, 9)
+        poly_id = S.TyLam("a", S.LinLam("x", S.TyBound(0), S.Bound(0)))
+        cases = [
+            (EMPTY, S.LinLam("x", S.TyBound(5), S.Bound(0), at), UNBOUND),
+            (EMPTY, S.TyLam("a", S.LinLam("x", S.TyBound(1), S.Bound(0),
+                                          at)), UNBOUND),
+            (EMPTY, S.TyApp(poly_id, S.TyBound(3), at), UNBOUND),
+            (ctx(gamma={"f": S.TyBound(1)}), S.Var("f"), CONTEXT_ILL_FORMED),
+        ]
+        for c, t, kind in cases:
+            with pytest.raises(TypeCheckError) as e:
+                infer_type(c, t)
+            assert e.value.kind == kind
+            assert "dangling type index" in e.value.message
+            if kind == UNBOUND:
+                assert e.value.span == at
+        # an index that names a binder in scope is fine
+        assert infer_type(EMPTY, poly_id).ty == parse_type("all a. a -o a")
+
+    def test_deep_types_do_not_recurse(self):
+        """Kind checking and free-name queries fill their caches with an
+        explicit stack, so a 3000-deep type is no problem."""
+        deep = TyVar("a")
+        for _ in range(3000):
+            deep = S.Bang(deep)
+        kind_check(("a",), deep)
+        with pytest.raises(TypeCheckError) as e:
+            kind_check((), deep)
+        assert e.value.kind == UNBOUND
+        assert S.free_type_names(deep) == ["a"]
+        assert S.all_free_names(deep) == {"a"}
+        body = S.TyBound(0)
+        for _ in range(3000):
+            body = S.Bang(body)
+        assert S.free_type_names(body) == [] and not S.all_free_names(body)
+        ty = infer_type(EMPTY, S.TyLam("a", S.LinLam("x", body, S.Bound(0)))).ty
+        assert ty.body.dom is body and ty.body.cod is body
+        with pytest.raises(TypeCheckError):
+            infer_type(EMPTY, S.LinLam("x", body, S.Bound(0)))
+
 
 class TestStructuralProperties:
     def test_uniqueness_across_renamings(self):
