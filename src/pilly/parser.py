@@ -8,13 +8,23 @@ Declarations:
     rel NAME = RELATION                (definition)
 
 Directives: #check t | #normalize t | #equal t == u | #admissible R
-            | #schema KIND PAYLOAD.  Any other `#` starts a line comment.
+            | #schema KIND PAYLOAD.  Any other `#` starts a line comment,
+            which the tokenizer skips with the whitespace.
+
+The parser builds nameless syntax as it reads: it keeps the names bound
+by the enclosing binders of each namespace on a stack and turns a bound
+name into its de Bruijn index on the spot, so no body is closed after it
+is built.  A synonym shadows a bound name, and is hygienic: it is stored
+closed over its parameters, and a name free in its body stays free at
+every use.  Propositions and relations backtrack; a memo keyed by token
+position and the binders in scope keeps that linear.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import syntax as S
 from .syntax import Flavor, Span
@@ -23,14 +33,21 @@ DIRECTIVES = ("check", "normalize", "equal", "admissible", "schema")
 KEYWORDS = {"all", "ex", "fn", "lam", "let", "in", "Y", "I", "T", "F",
             "Rel", "AdmRel", "term", "type", "rel"}
 
-_SYMBOLS = ["(*)", "-o", "->", "/\\", "\\/", "=>", "==", "=_", "<>",
-            "[", "]", "(", ")", "{", "}", ".", ",", ":", "=", "*", "!", "-",
-            "+", "0", "1"]
+_DIR = "(?:" + "|".join(DIRECTIVES) + r")(?![\w'])"
+# One match skips blanks and comment lines, then reads at most one token.
+# An identifier starts with a letter or `_` and goes on with letters,
+# digits, `_` and `'`; `other` catches the non-ASCII starts that `\w`
+# admits, and tokenize rejects those that are not letters.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|\#(?!" + _DIR + r")[^\n]*)*"
+    r"(?:(?P<ident>[A-Za-z_][\w']*)"
+    r"|\#(?P<dir>" + _DIR + ")"
+    r"|(?P<sym>\(\*\)|-o|->|/\\|\\/|=>|==|=_|<>|[][(){}.,:=*!+01-])"
+    r"|(?P<other>[^\W\d][\w']*))?")
 
 
-@dataclass(frozen=True)
-class Tok:
-    kind: str      # "ident", "kw", "dir", or the symbol itself
+class Tok(NamedTuple):
+    kind: str      # "ident", "kw", "dir", "eof", or the symbol itself
     text: str
     start: int
     end: int
@@ -62,50 +79,30 @@ class ParseError(Exception):
         self.span = span
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
-
-
 def tokenize(text: str) -> list[Tok]:
     toks: list[Tok] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i + 1:j]
-            if word in DIRECTIVES:
-                toks.append(Tok("dir", word, i, j))
-                i = j
-                continue
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if _is_ident_start(c):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            toks.append(Tok("kw" if word in KEYWORDS else "ident", word, i, j))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Tok(sym, sym, i, i + len(sym)))
-                i += len(sym)
+    add, new = toks.append, tuple.__new__  # Tok(...) would run Python code
+    match, n, i = _TOKEN.match, len(text), 0
+    while True:
+        m = match(text, i)
+        kind = m.lastgroup
+        if kind is None:
+            i = m.end()
+            if i == n:
                 break
+            raise ParseError(f"unexpected character {text[i]!r}", Span(i, i + 1))
+        start, i = m.span(kind)
+        word = text[start:i]
+        if kind == "sym":
+            add(new(Tok, (word, word, start, i)))
+        elif kind == "dir":
+            add(new(Tok, ("dir", word, start - 1, i)))
         else:
-            raise ParseError(f"unexpected character {c!r}", Span(i, i + 1))
-    toks.append(Tok("eof", "", n, n))
+            if kind == "other" and not word[0].isalpha():
+                raise ParseError(f"unexpected character {word[0]!r}",
+                                 Span(start, start + 1))
+            add(new(Tok, ("kw" if word in KEYWORDS else "ident", word, start, i)))
+    add(Tok("eof", "", n, n))
     return toks
 
 
@@ -115,7 +112,8 @@ def tokenize(text: str) -> list[Tok]:
 
 @dataclass
 class Signature:
-    """Names visible to the parser: type synonyms and relation variables."""
+    """Names visible to the parser: type synonyms and relation variables.
+    A synonym's body has its parameters bound, params[0] outermost."""
 
     types: dict[str, tuple[tuple[str, ...], S.Type]] = field(default_factory=dict)
     rels: dict[str, tuple[S.Type, S.Type, Flavor, Optional[S.Relation]]] = \
@@ -132,6 +130,9 @@ class TypeDecl:
     params: tuple[str, ...]
     body: S.Type
     span: Span
+    # body with the parameters bound, params[0] outermost: what a use
+    # instantiates
+    closed: Optional[S.Type] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -168,6 +169,20 @@ class SourceFile:
     signature: Signature
 
 
+def _pair(x: str, y: str) -> tuple[Optional[str], ...]:
+    """The names a two-variable binder pushes: with `x` and `y` equal the
+    name refers to `x`, the outer one."""
+    return (x, y) if x != y else (x, None)
+
+
+def _index(scope: list[Optional[str]], name: str) -> Optional[int]:
+    """The de Bruijn index of the innermost binder of `name` in `scope`."""
+    for k, bound in enumerate(reversed(scope)):
+        if bound == name:
+            return k
+    return None
+
+
 class Parser:
     def __init__(self, toks: list[Tok], sig: Signature | None = None,
                  extended_types: bool = False):
@@ -176,8 +191,22 @@ class Parser:
         self.sig = sig or Signature()
         # sugar for encode arguments: s + t, 0, 1 and N
         self.extended_types = extended_types
-        # relation variables bound by enclosing quantifiers, innermost last
-        self.rel_scope: dict[str, list[tuple[S.Type, S.Type, Flavor]]] = {}
+        # names bound by the enclosing binders of each namespace, innermost
+        # last; None holds a binder that no name refers to
+        self.tys: list[str] = []
+        self.tms: list[Optional[str]] = []
+        self.rels: list[str] = []
+        # `scope` stands for the binders in scope: 0 for none, else the id
+        # of the push (outer scope, namespace, names) that made them
+        self.scope = 0
+        self._scope_ids: dict[tuple, int] = {}
+        # every type or term name read, in order, as (name, namespace,
+        # position of its binder on that namespace's stack, -1 if free)
+        self.seen: list[tuple[str, str, int]] = []
+        # (production, position, scope) -> (node, end, first, last): the
+        # node read and the entries seen[first:last] it added; or, if it
+        # failed, (None, position of the failure, message, span)
+        self.memo: dict[tuple[str, int, int], tuple] = {}
 
     # token helpers -------------------------------------------------------
 
@@ -190,11 +219,12 @@ class Parser:
         return t
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def eat(self, kind: str, text: str | None = None) -> Tok | None:
-        if self.at(kind, text):
+        t = self.toks[self.pos]
+        if t.kind == kind and (text is None or t.text == text):
             return self.next()
         return None
 
@@ -213,10 +243,72 @@ class Parser:
         """Run one production.  The descent recurses once per level of
         nesting, so input nested past Python's stack gets a located
         `nesting too deep` error at the token it reached."""
+        self.memo.clear()
+        self.seen.clear()
         try:
             return getattr(self, production)()
         except RecursionError:
             raise self.fail("nesting too deep") from None
+
+    # scopes ----------------------------------------------------------------
+
+    def _under(self, ns: str, names: tuple | None, production):
+        """Run `production` with `names` bound in namespace `ns` ("tys",
+        "tms" or "rels"), the last one innermost; with `names` None, with
+        no binder of `ns` in scope.  The restore is in a `finally` and
+        calls no Python function, so a failed alternative or a stack
+        overflow leaves the scopes as they were."""
+        outer, scope = self.scope, getattr(self, ns)
+        if names is None:
+            setattr(self, ns, [])
+        else:
+            scope.extend(names)
+        ids = self._scope_ids
+        self.scope = ids.setdefault((outer, ns, names), len(ids) + 1)
+        try:
+            return production()
+        finally:
+            if names is None:
+                setattr(self, ns, scope)
+            else:
+                del scope[len(scope) - len(names):]
+            self.scope = outer
+
+    def _memo(self, production: str):
+        """Run `production` at this token once for the binders in scope and
+        replay its node and the names it read, or its error, when an
+        alternative tries it again."""
+        key = (production, self.pos, self.scope)
+        hit = self.memo.get(key)
+        if hit is not None:
+            node, self.pos, a, b = hit
+            if node is None:
+                raise ParseError(a, b)
+            self.seen.extend(self.seen[a:b])
+            return node
+        first = len(self.seen)
+        try:
+            node = getattr(self, production)()
+        except ParseError as e:
+            self.memo[key] = (None, self.pos, e.message, e.span)
+            raise
+        self.memo[key] = (node, self.pos, first, len(self.seen))
+        return node
+
+    def _resolve(self, ns: str, name: str) -> Optional[int]:
+        """The de Bruijn index of `name` in namespace `ns`, or None if it
+        is free; logs the name in `seen`."""
+        scope = getattr(self, ns)
+        k = _index(scope, name)
+        self.seen.append((name, ns, -1 if k is None else len(scope) - 1 - k))
+        return k
+
+    def _names_since(self, mark: int) -> set[str]:
+        """The names read since `seen[mark]` that are free or bound by a
+        binder now in scope: the free names that what was read would have
+        before the binders in scope are closed."""
+        base = {"tys": len(self.tys), "tms": len(self.tms)}
+        return {name for name, ns, at in self.seen[mark:] if at < base[ns]}
 
     # types ---------------------------------------------------------------
 
@@ -225,25 +317,37 @@ class Parser:
             start = self.next()
             name = self.expect("ident").text
             self.expect(".")
-            body = self.type_()
-            return S.forall(name, body, Span(start.start, self._prev_end()))
+            body = self._under("tys", (name,), self.type_)
+            return S.Forall(name, body, Span(start.start, self._prev_end()))
         return self._ty_lolli()
 
     def _ty_lolli(self) -> S.Type:
-        left = self._ty_sum()
+        mark = len(self.seen)
+        left = self._ty_tensor()
+        if self.extended_types and self.at("+"):
+            left = self._ty_sum(left, mark)
         if self.eat("-o"):
             return S.Lolli(left, self.type_())
         if self.eat("->"):
             return S.Lolli(S.Bang(left), self.type_())
         return left
 
-    def _ty_sum(self) -> S.Type:
-        left = self._ty_tensor()
-        if self.extended_types and self.at("+"):
-            from .encodings import sum_type
-            self.next()
-            return sum_type(left, self._ty_sum())
-        return left
+    def _ty_sum(self, left: S.Type, mark: int) -> S.Type:
+        """left + t + ...: right-nested sum types, built as
+        `encodings.sum_type` builds them from named operands; `left` was
+        read from `seen[mark]` on."""
+        parts, marks = [left], [mark]
+        while self.eat("+"):
+            marks.append(len(self.seen))
+            parts.append(self._ty_tensor())
+        t = parts.pop()
+        while parts:
+            s = parts.pop()
+            a = S.fresh("a", self._names_since(marks[len(parts)]))
+            va = S.TyBound(0)
+            t = S.Forall(a, S.arrow(S.Lolli(S.shift(s, ty_by=1), va),
+                                    S.arrow(S.Lolli(S.shift(t, ty_by=1), va), va)))
+        return t
 
     def _ty_tensor(self) -> S.Type:
         t = self._ty_bang()
@@ -271,14 +375,19 @@ class Parser:
             syn = self.sig.types.get(t.text)
             if syn is not None:
                 params, body = syn
-                args = [self._ty_atom() for _ in params]
-                return S.subst_types(body, dict(zip(params, args)))
+                self.seen.extend((n, "tys", -1) for n in S.free_type_names(body))
+                if not params:
+                    return body
+                return S.instantiate_ty(body, *[self._ty_atom() for _ in params])
             if self.extended_types and t.text == "N":
                 from .encodings import nat_type
                 return nat_type()
+            k = self._resolve("tys", t.text)
+            if k is not None:
+                return S.TyBound(k)
             return S.TyVar(t.text, span=t.span)
         if self.eat("("):
-            inner = self.type_()
+            inner = self._memo("type_")
             self.expect(")")
             return inner
         raise ParseError(f"expected a type, found {t.text or t.kind!r}", t.span)
@@ -293,20 +402,28 @@ class Parser:
             self.expect(":")
             ty = self.type_()
             self.expect(".")
-            body = self.term()
-            span = Span(t.start, self._prev_end())
             if t.text == "fn":
-                return S.lin_lam(name, ty, body, span)
-            return S.lam_int(name, ty, body)
+                body = self._under("tms", (name,), self.term)
+                return S.LinLam(name, ty, body, Span(t.start, self._prev_end()))
+            return self._lam(name, ty)
         if self.at("/\\"):
             start = self.next()
             name = self.expect("ident").text
             self.expect(".")
-            body = self.term()
-            return S.ty_lam(name, body, Span(start.start, self._prev_end()))
+            body = self._under("tys", (name,), self.term)
+            return S.TyLam(name, body, Span(start.start, self._prev_end()))
         if t.kind == "kw" and t.text == "let":
             return self._let()
         return self._tm_tensor()
+
+    def _lam(self, name: str, ty: S.Type) -> S.Term:
+        """lam name:ty. body, sugar for fn c:!ty. let !name = c in body.
+        The carrier c is named as `syntax.lam_int` names it from a named
+        body: apart from name and every name the body mentions."""
+        mark = len(self.seen)
+        body = self._under("tms", (None, name), self.term)  # c, then name
+        carrier = S.fresh(name, self._names_since(mark) | {name})
+        return S.LinLam(carrier, S.Bang(ty), S.LetBang(name, ty, S.Bound(0), body))
 
     def _let(self) -> S.Term:
         start = self.expect("kw", "let")
@@ -324,9 +441,9 @@ class Parser:
             self.expect("=")
             scrut = self.term()
             self.expect("kw", "in")
-            body = self.term()
-            return S.let_bang(name, ann, scrut, body,
-                              Span(start.start, self._prev_end()))
+            body = self._under("tms", (name,), self.term)
+            return S.LetBang(name, ann, scrut, body,
+                             Span(start.start, self._prev_end()))
         x = self.expect("ident").text
         self.expect("(*)")
         y = self.expect("ident").text
@@ -340,9 +457,9 @@ class Parser:
         self.expect("=")
         scrut = self.term()
         self.expect("kw", "in")
-        body = self.term()
-        return S.let_tensor(x, y, tyx, tyy, scrut, body,
-                            Span(start.start, self._prev_end()))
+        body = self._under("tms", _pair(x, y), self.term)
+        return S.LetTensor(x, y, tyx, tyy, scrut, body,
+                           Span(start.start, self._prev_end()))
 
     def _tm_tensor(self) -> S.Term:
         start = self.peek().start
@@ -383,6 +500,9 @@ class Parser:
         t = self.peek()
         if t.kind == "ident":
             self.next()
+            k = self._resolve("tms", t.text)
+            if k is not None:
+                return S.Bound(k)
             return S.Var(t.text, span=t.span)
         if t.kind == "<>":
             self.next()
@@ -391,7 +511,7 @@ class Parser:
             self.next()
             return S.Y(span=t.span)
         if self.eat("("):
-            inner = self.term()
+            inner = self._memo("term")
             self.expect(")")
             return inner
         raise ParseError(f"expected a term, found {t.text or t.kind!r}", t.span)
@@ -399,6 +519,9 @@ class Parser:
     # relations -----------------------------------------------------------
 
     def rel(self) -> S.Relation:
+        return self._memo("_rel")
+
+    def _rel(self) -> S.Relation:
         save = self.pos
         try:
             return self._compr()
@@ -409,10 +532,11 @@ class Parser:
         except ParseError:
             self.pos = save
         t = self.peek()
-        if t.kind == "ident" and self.rel_scope.get(t.text):
-            self.next()
-            dom, cod, flavor = self.rel_scope[t.text][-1]
-            return S.RelVar(t.text, dom, cod, flavor, span=t.span)
+        if t.kind == "ident":
+            k = _index(self.rels, t.text)
+            if k is not None:
+                self.next()
+                return S.RelBound(k)
         if t.kind == "ident" and t.text in self.sig.rels:
             self.next()
             dom, cod, flavor, body = self.sig.rels[t.text]
@@ -436,11 +560,12 @@ class Parser:
         tyy = self.type_()
         self.expect(")")
         self.expect(".")
-        body = self.prop()
-        return S.compr(x, tyx, y, tyy, body, Span(start.start, self._prev_end()))
+        body = self._under("tms", _pair(x, y), self.prop)
+        return S.Compr(x, y, tyx, tyy, body, Span(start.start, self._prev_end()))
 
     def _type_rel(self) -> S.Relation:
-        ty = self._ty_tensor()
+        # every type variable in `ty` is a slot, bound outside it or not
+        ty = self._under("tys", None, self._ty_tensor)
         self.expect("[")
         args = []
         if not self.at("]"):
@@ -467,8 +592,8 @@ class Parser:
         kw = self.next().text
         name = self.expect("ident").text
         if self.eat("."):
-            body = self.prop()
-            return (S.forall_ty_p if kw == "all" else S.exists_ty_p)(name, body)
+            body = self._under("tys", (name,), self.prop)
+            return (S.ForallTy if kw == "all" else S.ExistsTy)(name, body)
         self.expect(":")
         t = self.peek()
         if t.kind == "kw" and t.text in ("Rel", "AdmRel"):
@@ -480,17 +605,13 @@ class Parser:
             cod = self.type_()
             self.expect(")")
             self.expect(".")
-            self.rel_scope.setdefault(name, []).append((dom, cod, flavor))
-            try:
-                body = self.prop()
-            finally:
-                self.rel_scope[name].pop()
-            ctor = S.forall_rel_p if kw == "all" else S.exists_rel_p
+            body = self._under("rels", (name,), self.prop)
+            ctor = S.ForallRel if kw == "all" else S.ExistsRel
             return ctor(name, dom, cod, flavor, body)
         ty = self.type_()
         self.expect(".")
-        body = self.prop()
-        return (S.forall_tm_p if kw == "all" else S.exists_tm_p)(name, ty, body)
+        body = self._under("tms", (name,), self.prop)
+        return (S.ForallTm if kw == "all" else S.ExistsTm)(name, ty, body)
 
     def _prop_imp(self) -> S.Proposition:
         left = self._prop_or()
@@ -564,9 +685,14 @@ class Parser:
             while self.at("ident"):
                 params.append(self.next().text)
             self.expect("=")
-            body = self.type_()
+            at = self.pos
+            body = closed = self.type_()
+            if params:  # read it again with the parameters bound, for uses
+                end, self.pos = self.pos, at
+                closed = self._under("tys", tuple(params), self.type_)
+                self.pos = end
             return TypeDecl(name, tuple(params), body,
-                            Span(start.start, self._prev_end()))
+                            Span(start.start, self._prev_end()), closed)
         if t.kind == "kw" and t.text == "term":
             start = self.next()
             name = self.expect("ident").text
@@ -658,7 +784,7 @@ def parse_file(text: str, sig: Signature | None = None
                     continue
                 seen.add(d.name)
             if isinstance(d, TypeDecl):
-                sig.types[d.name] = (d.params, d.body)
+                sig.types[d.name] = (d.params, d.closed)
             elif isinstance(d, RelDecl):
                 if d.body is None:
                     sig.rels[d.name] = (d.dom, d.cod, d.flavor, None)

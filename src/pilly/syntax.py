@@ -1014,6 +1014,9 @@ def fresh_many(bases: Sequence[str], avoid: Iterable[str]) -> list[str]:
 
 
 # Smart constructors: build binders from named, locally closed bodies.
+# The parser resolves names as it reads and builds binder nodes directly;
+# the encodings, relations and functor modules and the tests still build
+# through these.
 
 
 def forall(name: str, body: Type, span: Optional[Span] = None) -> Forall:

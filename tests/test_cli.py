@@ -105,6 +105,20 @@ class TestCheck:
         assert located and int(located.group(1)) > len("term t = ")
         assert "internal error" not in out
 
+    def test_synonym_does_not_capture_its_free_variables(self, write,
+                                                          capsys):
+        """`a` is free in Sa, and stays free where Sa is used under a
+        binder of the same name."""
+        f = write("syn.pilly", "type Sa = a -o a\ntype U = all a. Sa\n"
+                  "term k : U = /\\a. fn x:a. x\n")
+        rc, lines = run_json(["check", f], capsys)
+        assert rc == 1
+        status = {e["target"].rsplit(":", 1)[1]: e for e in lines}
+        assert [status[n]["status"] for n in ("Sa", "U", "k")] == \
+            ["error"] * 3
+        assert all("UnboundVariable" in status[n]["message"]
+                   for n in ("Sa", "U"))
+
     def test_check_prints_inferred_type_of_y(self, write, capsys):
         f = write("y.pilly", "term y2 = Y\n#check y2\n")
         assert main(["check", f]) == 0
@@ -242,6 +256,21 @@ class TestEqual:
         assert got["status"] == status
         if status == "error":
             assert got["message"].startswith("not βη-convertible: ")
+
+    @pytest.mark.parametrize("lhs, rhs, status", [
+        ("fn q:pair I I. sw q", "fn q:I * I. q", "ok"),
+        ("/\\a. fn q:pair a I. q", "/\\b. fn q:b * I. q", "ok"),
+        ("/\\a. fn q:pair a I. q", "/\\b. fn q:I * b. q", "error"),
+    ])
+    def test_arguments_read_the_file_synonyms(self, write, capsys, lhs, rhs,
+                                              status):
+        """`pilly equal` parses its sides against the file's signature; a
+        synonym's parameter may be a type variable bound in the argument."""
+        decls = "type pair a b = a * b\nterm sw = fn p:pair I I. p\n"
+        got = assert_same_as_directive(write, capsys, decls,
+                                       f"#equal {lhs} == {rhs}",
+                                       ["equal", FILE, lhs, rhs])
+        assert got["status"] == status
 
     def test_ill_typed_side_is_type_error(self, write, capsys):
         f = write("e.pilly", "")
