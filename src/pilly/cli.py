@@ -151,6 +151,8 @@ def elaborate_file(text: str, target: str, cfg: Config,
                 report.add(ReportEntry(f"{target}:{decl.name}", "type", "ok",
                                        seconds=time.perf_counter() - t0))
             elif isinstance(decl, P.TermDecl):
+                if decl.claimed is not None:
+                    kind_check((), decl.claimed, span=decl.span)
                 res = infer_type(elab.ctx(), decl.body)
                 if decl.claimed is not None and res.ty != decl.claimed:
                     report.add(ReportEntry(

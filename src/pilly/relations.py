@@ -3,9 +3,12 @@
 Relations are comprehensions, relation variables, or relational
 interpretations of types.  The derived constructions (graph, reindexing,
 the per-type-constructor constructions, the admissible closure) all
-produce comprehensions whose bodies are kept in beta-normal form: a
-comprehension applied to arguments is unfolded, and terms inside
-propositions are normalized by the rewriter.
+produce comprehensions whose bodies are kept in beta-normal form by
+`prop_beta`, one walk over the child table for relations and
+propositions alike: a comprehension applied to arguments is unfolded,
+terms inside propositions are normalized by the rewriter, and a subtree
+already in normal form is kept as the same object, cached loose bounds
+and free names included.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from dataclasses import dataclass, field
 from . import syntax as S
 from .pretty import print_rel, print_type
 from .rewrite import FuelExhausted, RewriteConfig, normalize
-from .syntax import (And, Bottom, Compr, ExistsRel, ExistsTm, ExistsTy,
-                     Flavor, Forall, ForallRel, ForallTm, ForallTy, Implies,
-                     InternalEq, Lolli, Or, Proposition, RelApp, Relation,
-                     RelContext, RelVar, Tensor, TermContext, Top, TyConst,
-                     TypeRel, TyVar, Type, Unit, Bang,
+from .syntax import (CHILDREN, And, Bottom, Compr, ExistsRel, ExistsTm,
+                     ExistsTy, Flavor, Forall, ForallRel, ForallTm, ForallTy,
+                     Implies, InternalEq, Lolli, Or, Proposition, RelApp,
+                     Relation, RelContext, RelVar, Tensor, TermContext, Top,
+                     TyConst, TypeRel, TyVar, Type, Unit, Bang,
                      arrow, compr, forall, forall_rel_p, forall_tm_p,
                      forall_ty_p, free_term_names, free_type_names, fresh,
                      fresh_many, instantiate_tm, rel_signature, type_rel)
@@ -40,34 +43,31 @@ def _norm_term(t: S.Term) -> S.Term:
         return e.term
 
 
-def prop_beta(p: Proposition) -> Proposition:
-    """Unfold comprehension applications and normalize embedded terms."""
-    if isinstance(p, RelApp):
-        rel = rel_beta(p.rel)
-        if isinstance(rel, Compr):
-            return prop_beta(instantiate_tm(rel.body, p.lhs, p.rhs))
-        return RelApp(rel, _norm_term(p.lhs), _norm_term(p.rhs))
-    if isinstance(p, InternalEq):
-        return InternalEq(p.ty, _norm_term(p.lhs), _norm_term(p.rhs))
-    if isinstance(p, (Implies, And, Or)):
-        return type(p)(prop_beta(p.left), prop_beta(p.right))
-    if isinstance(p, (Top, Bottom)):
-        return p
-    if isinstance(p, (ForallTy, ExistsTy)):
-        return type(p)(p.hint, prop_beta(p.body))
-    if isinstance(p, (ForallTm, ExistsTm)):
-        return type(p)(p.hint, p.ty, prop_beta(p.body))
-    if isinstance(p, (ForallRel, ExistsRel)):
-        return type(p)(p.hint, p.dom, p.cod, p.flavor, prop_beta(p.body))
-    return p
-
-
-def rel_beta(r: Relation) -> Relation:
-    if isinstance(r, Compr):
-        return Compr(r.hintx, r.hinty, r.tyx, r.tyy, prop_beta(r.body))
-    if isinstance(r, TypeRel):
-        return TypeRel(r.hints, r.body, tuple(rel_beta(a) for a in r.args))
-    return r
+def prop_beta(p: Proposition | Relation) -> Proposition | Relation:
+    """Beta-normal form of a proposition or relation: a comprehension
+    applied to two terms is unfolded and every embedded term is
+    normalized.  A subtree with nothing to change comes back as the same
+    object, so its caches survive."""
+    changes = {}
+    for name, sort, *_ in CHILDREN.get(type(p), ()):
+        c = getattr(p, name)
+        if sort is Type:
+            continue
+        if sort is S.Term:
+            d = _norm_term(c)
+        elif type(c) is tuple:
+            d = tuple([prop_beta(a) for a in c])
+            if all(a is b for a, b in zip(c, d)):
+                continue
+        else:
+            d = prop_beta(c)
+            # rel is RelApp's first child, so lhs and rhs are not yet
+            # normalized when a comprehension unfolds over them
+            if type(d) is Compr and type(p) is RelApp:
+                return prop_beta(instantiate_tm(d.body, p.lhs, p.rhs))
+        if d is not c:
+            changes[name] = d
+    return S.rebuild(p, changes) if changes else p
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def check_prop(xi, gamma, theta: RelContext, p: Proposition) -> None:
 def graph_rel(f: S.Term, dom: Type, cod: Type) -> Compr:
     """<f> = (x, y). f x =_cod y."""
     x, y = fresh_many(["x", "y"], S.all_free_names(f))
-    return rel_beta(compr(x, dom, y, cod,
+    return prop_beta(compr(x, dom, y, cod,
                           InternalEq(cod, S.App(f, S.Var(x)), S.Var(y))))
 
 
@@ -204,7 +204,7 @@ def reindex(rel: Relation, f: S.Term, g: S.Term,
         dom = fty.dom if dom is None else dom
         cod = gty.dom if cod is None else cod
     x, y = fresh_many(["x", "y"], S.all_free_names(f) | S.all_free_names(g))
-    return rel_beta(compr(x, dom, y, cod,
+    return prop_beta(compr(x, dom, y, cod,
                           RelApp(rel, S.App(f, S.Var(x)), S.App(g, S.Var(y)))))
 
 
@@ -216,7 +216,7 @@ def lolli_rel(rel: Relation, rel2: Relation) -> Compr:
     body = forall_tm_p(x, s, forall_tm_p(y, t, Implies(
         RelApp(rel, S.Var(x), S.Var(y)),
         RelApp(rel2, S.App(S.Var(f), S.Var(x)), S.App(S.Var(g), S.Var(y))))))
-    return rel_beta(compr(f, Lolli(s, s2), g, Lolli(t, t2), body))
+    return prop_beta(compr(f, Lolli(s, s2), g, Lolli(t, t2), body))
 
 
 def arrow_rel(rel: Relation, rel2: Relation) -> Compr:
@@ -228,7 +228,7 @@ def arrow_rel(rel: Relation, rel2: Relation) -> Compr:
         RelApp(rel, S.Var(x), S.Var(y)),
         RelApp(rel2, S.App(S.Var(f), S.bang(S.Var(x))),
                S.App(S.Var(g), S.bang(S.Var(y)))))))
-    return rel_beta(compr(f, arrow(s, s2), g, arrow(t, t2), body))
+    return prop_beta(compr(f, arrow(s, s2), g, arrow(t, t2), body))
 
 
 def forall_rel(a: str, b: str, rname: str, rel: Relation) -> Compr:
@@ -243,7 +243,7 @@ def forall_rel(a: str, b: str, rname: str, rel: Relation) -> Compr:
     body = forall_ty_p(a, forall_ty_p(b, forall_rel_p(
         rname, TyVar(a), TyVar(b), Flavor.ADMREL,
         RelApp(rel, S.TyApp(S.Var(t), TyVar(a)), S.TyApp(S.Var(u), TyVar(b))))))
-    return rel_beta(compr(t, forall(a, dom), u, forall(b, cod), body))
+    return prop_beta(compr(t, forall(a, dom), u, forall(b, cod), body))
 
 
 def tensor_rel(rel: Relation, rel2: Relation) -> Compr:
@@ -284,7 +284,7 @@ def _close_quantified(a: str, b: str, rn: str, rel: Relation) -> Compr:
     body = forall_ty_p(a, forall_ty_p(b, forall_rel_p(
         rn, TyVar(a), TyVar(b), Flavor.ADMREL,
         RelApp(rel, S.TyApp(S.Var(t), TyVar(a)), S.TyApp(S.Var(u), TyVar(b))))))
-    return rel_beta(compr(t, dom_g, u, cod_g, body))
+    return prop_beta(compr(t, dom_g, u, cod_g, body))
 
 
 def unit_rel() -> Compr:
@@ -328,7 +328,7 @@ def closure_phi(rel: Relation) -> Compr:
             Implies(RelApp(lolli_rel(rel, sv), S.Var(f), S.Var(g)),
                     RelApp(sv, S.App(S.Var(f), S.Var(x)),
                            S.App(S.Var(g), S.Var(y)))))))))
-    return rel_beta(compr(x, s, y, t, body))
+    return prop_beta(compr(x, s, y, t, body))
 
 
 # ---------------------------------------------------------------------------

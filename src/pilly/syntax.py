@@ -11,15 +11,14 @@ indices); the index-shifting primitives at the bottom are for internal
 use by the rewriter and checker.  `CHILDREN` is the one place that lists
 a node class's children and the binders each sits under; `map_node`,
 `subnodes`, `rebuild` and the loose bounds below, and the rewriter's
-congruence walk, all read it.  Each type and term node caches, on first
-use and outside its dataclass fields, one more than its largest loose
-index in each namespace, and its free type names and free term names in
-first-occurrence order.  Shifting and instantiation return a subtree
-with no loose index they act on without walking it; closing and
+congruence walk, all read it.  Each node of all four sorts caches, on
+first use and outside its dataclass fields, one more than its largest
+loose index in each namespace, and its free type, term and relation
+names in first-occurrence order.  Shifting and instantiation return a
+subtree with no loose index they act on without walking it; closing and
 substitution (`close_*`, `subst_*`) return one that lacks the names they
-act on, and `close_rel` every type and term.  The free-name queries read
-the caches of the outermost types and terms, so they cost the number of
-names on a cached node; `rebuild` drops both caches.
+act on.  The free-name queries read the root's cache, so they cost the
+number of names on a cached node; `rebuild` drops both caches.
 """
 
 from __future__ import annotations
@@ -219,10 +218,14 @@ class Flavor(Enum):
 
 class Relation:
     __slots__ = ()
+    _lb = None  # cached loose bounds, see _loose; not a dataclass field
+    _fn = None  # cached free names, see _free; not a dataclass field
 
 
 class Proposition:
     __slots__ = ()
+    _lb = None  # cached loose bounds, see _loose; not a dataclass field
+    _fn = None  # cached free names, see _free; not a dataclass field
 
 
 @dataclass(frozen=True)
@@ -485,21 +488,25 @@ class VarMap:
 
     `map_node` calls `rel_free` on a relation variable after mapping its
     domain and codomain, and each other hook on its leaf.  A map whose
-    `skips` is set lets `map_node` return a type or term subtree as it
-    is, without walking it, where its hooks cannot change the subtree:
+    `skips` is set lets `map_node` return a subtree as it is, without
+    walking it, where its hooks cannot change the subtree:
     - `skips = True`: the hooks change nothing free and only bound
-      indices at or above `depth + ty_from` (type namespace) and `depth +
-      tm_from` (term namespace), None meaning no index in that namespace;
-      a subtree with no such loose index is skipped;
+      indices at or above `depth + ty_from` (type namespace), `depth +
+      tm_from` (term namespace) and `depth + rel_from` (relation
+      namespace), None meaning no index in that namespace; a subtree with
+      no such loose index is skipped;
     - `skips = BY_NAMES`: the hooks change no bound index and only the
-      free names in `names`; a subtree whose cached free names miss them
-      is skipped.
+      free names in `names` of namespace `ns` (0 type, 1 term, 2
+      relation); a subtree whose cached free names of that namespace miss
+      them is skipped.
     """
 
     skips = False
     names: frozenset[str] = frozenset()
+    ns = 0
     ty_from: int | None = 0
     tm_from: int | None = 0
+    rel_from: int | None = 0
 
     def ty_free(self, node: TyVar, env: Env) -> Type:
         return node
@@ -520,42 +527,44 @@ class VarMap:
         return node
 
 
-_CLOSED = (0, 0)
+_CLOSED = (0, 0, 0)
 
 
-def _loose(n: Type | Term) -> tuple[int, int]:
-    """(1 + largest loose type index, 1 + largest loose term index) of a
-    type or term, 0 where there is none; computed once per node and cached
-    outside the dataclass fields."""
+def _loose(n: Node) -> tuple[int, int, int]:
+    """(1 + largest loose type index, 1 + largest loose term index, 1 +
+    largest loose relation index) of a node, 0 where there is none;
+    computed once per node and cached outside the dataclass fields."""
     lb = n._lb
     if lb is None:
-        ty = tm = 0
-        for name, _, dt, dm, _ in CHILDREN[type(n)]:
+        ty = tm = rel = 0
+        for name, _, dt, dm, dr in CHILDREN[type(n)]:
             c = getattr(n, name)
             if c is None:
                 continue
+            if dt == _HINTS:
+                dt = len(n.hints)
             for x in c if type(c) is tuple else (c,):
-                cty, ctm = x._lb or _loose(x)
+                cty, ctm, crel = x._lb or _loose(x)
                 if cty - dt > ty:
                     ty = cty - dt
                 if ctm - dm > tm:
                     tm = ctm - dm
-        lb = (ty, tm) if ty or tm else _CLOSED
+                if crel - dr > rel:
+                    rel = crel - dr
+        lb = (ty, tm, rel) if ty or tm or rel else _CLOSED
         n.__dict__["_lb"] = lb
     return lb
 
 
 # Leaves hold their bounds on the class: closed, or read off the index.
 TyVar._lb = Unit._lb = Var._lb = Star._lb = Y._lb = _CLOSED
-TyBound._lb = property(lambda n: (n.index + 1, 0))
-Bound._lb = property(lambda n: (0, n.index + 1))
-
-# The child fields of each inner type and term class, in field order.
-_TT_KIDS = {cls: tuple(name for name, *_ in kids)
-            for cls, kids in CHILDREN.items() if issubclass(cls, (Type, Term))}
+Top._lb = Bottom._lb = _CLOSED
+TyBound._lb = property(lambda n: (n.index + 1, 0, 0))
+Bound._lb = property(lambda n: (0, n.index + 1, 0))
+RelBound._lb = property(lambda n: (0, 0, n.index + 1))
 
 
-def _fill(n: Type | Term, key: str, compute) -> None:
+def _fill(n: Node, key: str, compute) -> None:
     """Call `compute` on every node of n whose `key` cache is empty,
     children before parents.  The nodes are listed outermost first with
     an explicit stack and computed in reverse, so `compute` finds every
@@ -564,8 +573,8 @@ def _fill(n: Type | Term, key: str, compute) -> None:
     while todo:
         x = todo.pop()
         order.append(x)
-        for name in _TT_KIDS[type(x)]:
-            c = getattr(x, name)
+        for kid in CHILDREN[type(x)]:
+            c = getattr(x, kid[0])
             if type(c) is tuple:
                 todo.extend(a for a in c if getattr(a, key) is None)
             elif c is not None and getattr(c, key) is None:
@@ -574,7 +583,7 @@ def _fill(n: Type | Term, key: str, compute) -> None:
         compute(x)
 
 
-def loose_bounds(n: Type | Term) -> tuple[int, int]:
+def loose_bounds(n: Node) -> tuple[int, int, int]:
     """`_loose` for input that may be deep: fills the cache children
     first, with an explicit stack."""
     if n._lb is None:
@@ -582,7 +591,7 @@ def loose_bounds(n: Type | Term) -> tuple[int, int]:
     return n._lb
 
 
-_NO_NAMES = ((), ())
+_NO_NAMES = ((), (), ())
 
 
 def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
@@ -593,27 +602,32 @@ def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return a + tuple(extra) if extra else a
 
 
-def _free_of(x: Type | Term) -> None:
-    """Cache x's free names from its children's caches."""
+def _free_of(x: Node) -> None:
+    """Cache x's free names from its own name, if it is a relation
+    variable, and its children's caches."""
     tys = tms = ()
-    for name in _TT_KIDS[type(x)]:
-        c = getattr(x, name)
+    rels = (x.name,) if type(x) is RelVar else ()
+    for kid in CHILDREN[type(x)]:
+        c = getattr(x, kid[0])
         if c is None:
             continue
         for y in c if type(c) is tuple else (c,):
-            cty, ctm = y._fn
+            cty, ctm, crel = y._fn
             if cty:
                 tys = _merge(tys, cty)
             if ctm:
                 tms = _merge(tms, ctm)
-    x.__dict__["_fn"] = (tys, tms) if tys or tms else _NO_NAMES
+            if crel:
+                rels = _merge(rels, crel)
+    x.__dict__["_fn"] = (tys, tms, rels) if tys or tms or rels else _NO_NAMES
 
 
-def _free(n: Type | Term) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(free type names, free term names) of a type or term, each in
-    first-occurrence order; computed once per node, children first with
-    an explicit stack, and cached outside the dataclass fields.  Bound
-    variables are nameless, so every named variable is free."""
+def _free(n: Node) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """(free type names, free term names, free relation names) of a node,
+    each in first-occurrence order; computed once per node, children
+    first with an explicit stack, and cached outside the dataclass
+    fields.  Bound variables are nameless, so every named variable is
+    free."""
     if n._fn is None:
         _fill(n, "_fn", _free_of)
     return n._fn
@@ -621,15 +635,14 @@ def _free(n: Type | Term) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 # Leaves hold their names on the class: none, or their own.
 TyBound._fn = Unit._fn = Bound._fn = Star._fn = Y._fn = _NO_NAMES
-TyVar._fn = property(lambda n: ((n.name,), ()))
-Var._fn = property(lambda n: ((), (n.name,)))
+RelBound._fn = Top._fn = Bottom._fn = _NO_NAMES
+TyVar._fn = property(lambda n: ((n.name,), (), ()))
+Var._fn = property(lambda n: ((), (n.name,), ()))
 
 # What map_node does at each class: call the named hook (a variable),
 # walk the children (an inner node), or nothing (a closed leaf).
 _WALK = {TyVar: "ty_free", TyBound: "ty_bound", Var: "tm_free",
          Bound: "tm_bound", RelBound: "rel_bound", **CHILDREN}
-# The classes whose nodes cache their loose bounds and free names.
-_CACHED = frozenset(c for c in CHILDREN if issubclass(c, (Type, Term)))
 
 
 def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
@@ -643,15 +656,15 @@ def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
     if type(kids) is str:
         return getattr(m, kids)(n, (td, md, rd))
     skips = m.skips
-    if skips and cls in _CACHED:
+    if skips:
         if skips is BY_NAMES:
-            tys, tms = n._fn or _free(n)
-            if m.names.isdisjoint(tys) and m.names.isdisjoint(tms):
+            if m.names.isdisjoint((n._fn or _free(n))[m.ns]):
                 return n
         else:
-            ty, tm = n._lb or _loose(n)
+            ty, tm, rel = n._lb or _loose(n)
             if ((m.ty_from is None or ty <= td + m.ty_from)
-                    and (m.tm_from is None or tm <= md + m.tm_from)):
+                    and (m.tm_from is None or tm <= md + m.tm_from)
+                    and (m.rel_from is None or rel <= rd + m.rel_from)):
                 return n
     if cls is TypeRel:  # its body sits under one type binder per hint
         kids = (("body", Type, len(n.hints), 0, 0), kids[1])
@@ -684,6 +697,7 @@ def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
 
 class _SubstTypes(VarMap):
     skips = BY_NAMES
+    ns = 0
 
     def __init__(self, mapping):
         self.mapping = mapping
@@ -695,6 +709,7 @@ class _SubstTypes(VarMap):
 
 class _SubstTerms(VarMap):
     skips = BY_NAMES
+    ns = 1
 
     def __init__(self, mapping):
         self.mapping = mapping
@@ -729,46 +744,17 @@ def subst_term_in_term(t: Term, name: str, rep: Term) -> Term:
 # Free variables
 
 
-def _free_names(obj: Node) -> tuple[Iterable[str], Iterable[str],
-                                    Iterable[str]]:
-    """The free type, term and relation names of obj, each in
-    first-occurrence order.  A type or term answers from its cache; a
-    relation or proposition walks its own nodes and reads the caches of
-    its outermost types and terms."""
-    if isinstance(obj, (Type, Term)):
-        tys, tms = obj._fn or _free(obj)
-        return tys, tms, ()
-    tys, tms, rels = {}, {}, {}
-    todo = [obj]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, (Type, Term)):
-            a, b = x._fn or _free(x)
-            tys.update(dict.fromkeys(a))
-            tms.update(dict.fromkeys(b))
-            continue
-        if type(x) is RelVar:
-            rels[x.name] = None
-        for name, *_ in reversed(CHILDREN.get(type(x), ())):
-            c = getattr(x, name)
-            if type(c) is tuple:
-                todo.extend(reversed(c))
-            elif c is not None:
-                todo.append(c)
-    return tys, tms, rels
-
-
 def free_type_names(obj: Node) -> list[str]:
     """Free type variable names in first-occurrence order."""
-    return list(_free_names(obj)[0])
+    return list(_free(obj)[0])
 
 
 def free_term_names(obj: Node) -> list[str]:
-    return list(_free_names(obj)[1])
+    return list(_free(obj)[1])
 
 
 def all_free_names(obj: Node) -> set[str]:
-    tys, tms, rels = _free_names(obj)
+    tys, tms, rels = _free(obj)
     return {*tys, *tms, *rels}
 
 
@@ -790,6 +776,7 @@ class _Shift(VarMap):
         self.rel_by = rel_by
         self.ty_from = 0 if ty_by else None
         self.tm_from = 0 if tm_by else None
+        self.rel_from = 0 if rel_by else None
 
     def ty_bound(self, node, env):
         if self.ty_by and node.index >= env[0]:
@@ -821,7 +808,7 @@ def shift(obj: Node, ty_by: int = 0, tm_by: int = 0, rel_by: int = 0,
 
 class _InstTm(VarMap):
     skips = True
-    ty_from = None
+    ty_from = rel_from = None
 
     def __init__(self, args: Sequence[Term]):
         self.args = args
@@ -848,7 +835,7 @@ def instantiate_tm(body: Node, *args: Term) -> Node:
 
 class _InstTy(VarMap):
     skips = True
-    tm_from = None
+    tm_from = rel_from = None
 
     def __init__(self, tys: Sequence[Type]):
         self.tys = tys
@@ -872,7 +859,7 @@ def instantiate_ty(body: Node, *tys: Type) -> Node:
 
 class _InstRel(VarMap):
     skips = True
-    ty_from = tm_from = None  # types and terms hold no relation variables
+    ty_from = tm_from = None
 
     def __init__(self, rels: Sequence[Relation]):
         self.rels = rels
@@ -895,6 +882,7 @@ def instantiate_rel(body: Node, *rels: Relation) -> Node:
 
 class _CloseTy(VarMap):
     skips = BY_NAMES
+    ns = 0
 
     def __init__(self, names: Sequence[str]):
         self.order = names
@@ -915,6 +903,7 @@ def close_ty(obj: Node, *names: str) -> Node:
 
 class _CloseTm(VarMap):
     skips = BY_NAMES
+    ns = 1
 
     def __init__(self, names: Sequence[str]):
         self.order = names
@@ -933,11 +922,12 @@ def close_tm(obj: Node, *names: str) -> Node:
 
 
 class _CloseRel(VarMap):
-    skips = True
-    ty_from = tm_from = None  # types and terms hold no relation variables
+    skips = BY_NAMES
+    ns = 2
 
     def __init__(self, name: str):
         self.name = name
+        self.names = frozenset((name,))
 
     def rel_free(self, node, env):
         if node.name == self.name:
@@ -951,26 +941,21 @@ def close_rel(obj: Node, name: str) -> Node:
 
 class _UsesBound(VarMap):
     skips = True
+    rel_from = None
 
     def __init__(self, ns: str, k: int):
-        self.ns = ns
         self.k = k
         self.found = False
         self.ty_from = k if ns == "ty" else None
         self.tm_from = k if ns == "tm" else None
 
     def ty_bound(self, node, env):
-        if self.ns == "ty" and node.index == env[0] + self.k:
+        if self.ty_from is not None and node.index == env[0] + self.k:
             self.found = True
         return node
 
     def tm_bound(self, node, env):
-        if self.ns == "tm" and node.index == env[1] + self.k:
-            self.found = True
-        return node
-
-    def rel_bound(self, node, env):
-        if self.ns == "rel" and node.index == env[2] + self.k:
+        if self.tm_from is not None and node.index == env[1] + self.k:
             self.found = True
         return node
 

@@ -119,6 +119,20 @@ class TestCheck:
         assert all("UnboundVariable" in status[n]["message"]
                    for n in ("Sa", "U"))
 
+    def test_claimed_type_is_kind_checked(self, write, capsys):
+        """A term's declared type naming an unbound type variable is a
+        located UnboundVariable, not a type mismatch."""
+        f = write("kc.pilly", "term k : b -o b = fn x:I. x\n"
+                  "term j : c = <>\nterm u : I = <>\n")
+        rc, lines = run_json(["check", f], capsys)
+        assert rc == 1
+        assert [(e["status"], e["message"]) for e in lines] == [
+            ("error", "1:1: UnboundVariable: type variable 'b' is not in "
+             "scope"),
+            ("error", "2:10: UnboundVariable: type variable 'c' is not in "
+             "scope"),
+            ("ok", ": I")]
+
     def test_check_prints_inferred_type_of_y(self, write, capsys):
         f = write("y.pilly", "term y2 = Y\n#check y2\n")
         assert main(["check", f]) == 0

@@ -291,3 +291,32 @@ class TestSchemaRelationship:
         ident = parse_term("/\\c. fn x:c. x")
         inst = prop_beta(S.instantiate_tm(schema.body, ident))
         assert inst == lrl_statement(ident)
+
+
+class TestPropBeta:
+    def test_normal_forms_are_returned_as_they_are(self):
+        """The beta-normal form of every catalog schema law comes back
+        from prop_beta as the same object.  Most laws keep their redexes
+        as stated; the one built through prop_beta is its own normal
+        form."""
+        laws = {(k, n): p for k, b in E.catalog().items()
+                for n, p in b.schema_laws}
+        for p in laws.values():
+            nf = prop_beta(p)
+            assert prop_beta(nf) is nf
+        rule = laws["rec_params", "parameterized_mixed_rule"]
+        assert prop_beta(rule) is rule
+
+    def test_unfolding_keeps_untouched_siblings(self):
+        eq = eq_rel(TyVar("s"))
+        side = S.forall_tm_p("z", TyVar("s"), S.RelApp(
+            RAW, S.Var("z"), S.Var("z")))
+        inner = S.And(side, S.RelApp(eq, S.Var("u"), S.Var("v")))
+        p = S.Implies(side, S.forall_ty_p("a", inner))
+        got = prop_beta(p)
+        assert got.left is side and got.right.body.left is side
+        unfolded = got.right.body.right
+        assert isinstance(unfolded, S.InternalEq)
+        assert unfolded == prop_beta(S.instantiate_tm(
+            eq.body, S.Var("u"), S.Var("v")))
+        assert prop_beta(got) is got

@@ -184,12 +184,15 @@ class TestRelSignature:
 # change; a walk with the skip turned off is the reference
 
 
+_SORTS = (S.Type, S.Term, S.Relation, S.Proposition)
+
+
 def _subnodes(obj):
-    """Every type and term node in obj, outermost first."""
+    """Every node in obj, outermost first."""
     todo, out = [obj], []
     while todo:
         x = todo.pop()
-        if isinstance(x, (S.Type, S.Term)):
+        if isinstance(x, _SORTS):
             out.append(x)
             todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
         elif isinstance(x, tuple):
@@ -197,16 +200,16 @@ def _subnodes(obj):
     return out
 
 
-def _full_walk(obj, m, td=0, md=0):
+def _full_walk(obj, m, td=0, md=0, rd=0):
     m.skips = False
-    return S.map_node(obj, m, td, md)
+    return S.map_node(obj, m, td, md, rd)
 
 
 class _LooseRef(S.VarMap):
     """1 + the largest loose index per namespace, by a full walk."""
 
     def __init__(self):
-        self.ty = self.tm = 0
+        self.ty = self.tm = self.rel = 0
 
     def ty_bound(self, node, env):
         self.ty = max(self.ty, node.index - env[0] + 1)
@@ -216,15 +219,61 @@ class _LooseRef(S.VarMap):
         self.tm = max(self.tm, node.index - env[1] + 1)
         return node
 
+    def rel_bound(self, node, env):
+        self.rel = max(self.rel, node.index - env[2] + 1)
+        return node
+
 
 def _loose_corpus():
+    """Every node of seeded scoped terms, well-typed terms, propositions
+    and relations, and at most 150 nodes of each catalog schema law."""
     rng = random.Random(17)
     out = []
     for _ in range(80):
         out += _subnodes(gen_scoped_term(rng, ["s"], ["z"], 5))
     for _ in range(40):
         out += _subnodes(gen_well_typed(rng, 4)[1])
+    rels = {"R": (Unit(), TyVar("s"), S.Flavor.REL)}
+    for _ in range(40):
+        out += _subnodes(gen_scoped_prop(rng, ["s"], ["z"], rels, 4))
+        out += _subnodes(gen_scoped_rel(rng, ["s"], ["z"], rels, 3))
+    for b in E.catalog().values():
+        for _, law in b.schema_laws:
+            nodes = _subnodes(law)
+            out += nodes[::len(nodes) // 150 + 1]
     return out
+
+
+class _Recording:
+    """Mixin for a VarMap that records every node a hook is called on."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def ty_free(self, node, env):
+        self.calls.append(node)
+        return super().ty_free(node, env)
+
+    def ty_bound(self, node, env):
+        self.calls.append(node)
+        return super().ty_bound(node, env)
+
+    def tm_free(self, node, env):
+        self.calls.append(node)
+        return super().tm_free(node, env)
+
+    def tm_bound(self, node, env):
+        self.calls.append(node)
+        return super().tm_bound(node, env)
+
+    def rel_free(self, node, env):
+        self.calls.append(node)
+        return super().rel_free(node, env)
+
+    def rel_bound(self, node, env):
+        self.calls.append(node)
+        return super().rel_bound(node, env)
 
 
 class TestLooseBounds:
@@ -232,7 +281,7 @@ class TestLooseBounds:
         for n in _loose_corpus():
             ref = _LooseRef()
             S.map_node(n, ref)
-            assert S._loose(n) == (ref.ty, ref.tm)
+            assert S._loose(n) == (ref.ty, ref.tm, ref.rel)
 
     def test_maps_match_a_full_walk(self):
         rep_tm = [S.Star(), S.Var("q"), S.Bound(1),
@@ -258,6 +307,54 @@ class TestLooseBounds:
                     _full_walk(n, ref)
                     uses = S.uses_bound_tm if ns == "tm" else S.uses_bound_ty
                     assert uses(n, k) == ref.found
+
+    def test_relation_maps_match_a_full_walk(self):
+        """The relation-index maps, and term instantiation in the logic,
+        give the full walk's result and share what they leave unchanged."""
+        unit = Unit()
+        rep_rel = [S.RelVar("Q", unit, unit), S.RelBound(1),
+                   S.compr("x", unit, "y", unit, S.Top())]
+        for i, n in enumerate(_loose_corpus()):
+            for by, cut in ((1, 0), (2, 1), (-1, 1)):
+                got = S.shift(n, rel_by=by, rd=cut)
+                assert got == _full_walk(n, S._Shift(0, 0, by), rd=cut)
+                _assert_shared(n, got)
+            rel = rep_rel[i % len(rep_rel)]
+            got = S.instantiate_rel(n, rel)
+            assert got == _full_walk(n, S._InstRel((rel,)))
+            _assert_shared(n, got)
+            if isinstance(n, (S.Relation, S.Proposition)):
+                args = (S.Var("q"), S.Star())
+                assert S.instantiate_tm(n, *args) == _full_walk(
+                    n, S._InstTm(args))
+
+    def test_relation_maps_skip_subtrees_without_their_variable(self):
+        """instantiate_rel and close_rel call no hook inside a proposition
+        that has no loose relation index, or no free R."""
+        unit = Unit()
+        side = S.forall_tm_p("x", unit, S.And(
+            S.RelApp(S.RelVar("Q", unit, unit), S.Var("x"), S.Star()),
+            S.forall_rel_p("P", unit, unit, S.Flavor.REL, S.RelApp(
+                S.RelVar("P", unit, unit), S.Var("x"), S.Var("x")))))
+        hole = S.RelApp(S.RelBound(0), S.Star(), S.Star())
+
+        class InstSpy(_Recording, S._InstRel):
+            pass
+
+        class CloseSpy(_Recording, S._CloseRel):
+            pass
+
+        inst = InstSpy((S.RelVar("R", unit, unit),))
+        got = S.map_node(S.Implies(side, hole), inst)
+        assert inst.calls == [S.RelBound(0)] and got.left is side
+        named = S.RelApp(S.RelVar("R", unit, unit), S.Star(), S.Star())
+        close = CloseSpy("R")
+        got = S.map_node(S.Implies(side, named), close)
+        assert close.calls == [named.rel] and got.left is side
+        assert got.right == hole
+        assert S.instantiate_rel(side, named.rel) is side
+        assert S.close_rel(side, "R") is side
+        assert S.shift(side, rel_by=1) is side
 
     def test_closed_subtrees_are_returned_without_a_walk(self):
         closed = parse_term("/\\a. fn x:a -o a. fn y:a. x (let !z = !y in z)")
@@ -387,8 +484,8 @@ class TestFreeNameCache:
                 assert S.free_term_names(n) == tms
                 assert S.all_free_names(n) == set(
                     tys + tms + _walk_names(n, S.RelVar))
-                if isinstance(n, (S.Type, S.Term)):
-                    assert S._free(n) == (tuple(tys), tuple(tms))
+                rels = _walk_names(n, S.RelVar)
+                assert S._free(n) == (tuple(tys), tuple(tms), tuple(rels))
                 checked += 1
                 named += bool(tys or tms)
         assert named > checked // 2
@@ -451,7 +548,8 @@ class TestFreeNameCache:
 class TestChildTable:
     def test_table_covers_the_syntax(self):
         """Every node class lists exactly its node-valued fields in the
-        table, with their sort; a class without any is a leaf."""
+        table, with their sort; a class without any is a leaf, which
+        holds its loose bounds and free names on the class."""
         sorts = (S.Type, S.Term, S.Relation, S.Proposition)
         todo, classes = list(sorts), set()
         while todo:
@@ -467,3 +565,8 @@ class TestChildTable:
             assert [name for name, *_ in kids] == list(annotated), cls
             for name, sort, *_ in kids:
                 assert sort.__name__ in annotated[name], (cls, name)
+            # an inner node caches on the instance, a leaf on its class
+            if cls in S.CHILDREN:
+                assert cls._lb is None and cls._fn is None, cls
+            else:
+                assert cls._lb is not None and cls._fn is not None, cls
