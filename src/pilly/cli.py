@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -147,7 +148,7 @@ def elaborate_file(text: str, target: str, cfg: Config,
         t0 = time.perf_counter()
         try:
             if isinstance(decl, P.TypeDecl):
-                kind_check(decl.params, decl.body)
+                kind_check(decl.params, decl.body, span=decl.span)
                 report.add(ReportEntry(f"{target}:{decl.name}", "type", "ok",
                                        seconds=time.perf_counter() - t0))
             elif isinstance(decl, P.TermDecl):
@@ -168,8 +169,8 @@ def elaborate_file(text: str, target: str, cfg: Config,
                     f": {print_type(res.ty)}", time.perf_counter() - t0))
             elif isinstance(decl, P.RelDecl):
                 if decl.body is None:
-                    kind_check((), decl.dom)
-                    kind_check((), decl.cod)
+                    kind_check((), decl.dom, span=decl.span)
+                    kind_check((), decl.cod, span=decl.span)
                     elab.theta.entries[decl.name] = (decl.dom, decl.cod,
                                                      decl.flavor)
                 else:
@@ -342,44 +343,41 @@ def cmd_equal(args, cfg: Config) -> RunReport:
     return _file_directive(args.file, "equal", cfg, sides)
 
 
+def _encode_rec_params(body: S.Type) -> E.EncodingBundle:
+    """`rec` with every parameter of `body` but `a` split by variance."""
+    neg, pos = [], []
+    for v in S.free_type_names(body):
+        if v == "a":
+            continue
+        pol = E.polarity(body, v)
+        if pol.negative and pol.positive:
+            raise ValueError(f"parameter {v!r} has mixed variance")
+        (neg if pol.negative else pos).append(v)
+    return E.encode_rec_params(neg, pos, "a", body)
+
+
+# Each encoding kind: its number of type arguments and its builder.
+_ENCODINGS = {
+    "unit": (0, E.encode_unit), "zero": (0, E.encode_zero),
+    "one": (0, E.encode_one), "nat": (0, E.encode_nat),
+    "iso-self": (1, E.encode_iso_self), "tensor": (2, E.encode_tensor),
+    "sum": (2, E.encode_sum), "product": (2, E.encode_product),
+    "exists": (1, partial(E.encode_exists, "a")),
+    "mu": (1, partial(E.encode_mu, "a")), "nu": (1, partial(E.encode_nu, "a")),
+    "rec": (1, partial(E.encode_rec, "a")),
+    "rec-params": (1, _encode_rec_params),
+}
+
+
 def _encode_bundle(kind: str, type_args: list[str]) -> E.EncodingBundle:
     tys = [P.parse_encode_type(s) for s in type_args]
-    if kind == "iso-self":
-        return E.encode_iso_self(tys[0])
-    if kind == "tensor":
-        return E.encode_tensor(tys[0], tys[1])
-    if kind == "unit":
-        return E.encode_unit()
-    if kind == "zero":
-        return E.encode_zero()
-    if kind == "one":
-        return E.encode_one()
-    if kind == "sum":
-        return E.encode_sum(tys[0], tys[1])
-    if kind == "product":
-        return E.encode_product(tys[0], tys[1])
-    if kind == "nat":
-        return E.encode_nat()
-    if kind == "exists":
-        return E.encode_exists("a", tys[0])
-    if kind == "mu":
-        return E.encode_mu("a", tys[0])
-    if kind == "nu":
-        return E.encode_nu("a", tys[0])
-    if kind == "rec":
-        return E.encode_rec("a", tys[0])
-    if kind == "rec-params":
-        body = tys[0]
-        neg, pos = [], []
-        for v in S.free_type_names(body):
-            if v == "a":
-                continue
-            pol = E.polarity(body, v)
-            if pol.negative and pol.positive:
-                raise ValueError(f"parameter {v!r} has mixed variance")
-            (neg if pol.negative else pos).append(v)
-        return E.encode_rec_params(neg, pos, "a", body)
-    raise ValueError(f"unknown encoding kind {kind!r}")
+    if kind not in _ENCODINGS:
+        raise ValueError(f"unknown encoding kind {kind!r}")
+    arity, build = _ENCODINGS[kind]
+    if len(tys) != arity:
+        raise ValueError(
+            f"{kind} takes {arity} type argument(s), got {len(tys)}")
+    return build(*tys)
 
 
 def cmd_encode(args, cfg: Config) -> RunReport:
@@ -406,7 +404,7 @@ def cmd_encode(args, cfg: Config) -> RunReport:
             msg += f"; wrote {args.emit_bundle}"
         report.add(ReportEntry(label, "encode", status, msg,
                                time.perf_counter() - t0))
-    except (E.PolarityViolation, ValueError, P.ParseError, IndexError) as e:
+    except (E.PolarityViolation, ValueError, P.ParseError) as e:
         report.add(ReportEntry(label, "encode", "error", str(e),
                                time.perf_counter() - t0))
     return report

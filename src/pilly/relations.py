@@ -265,26 +265,9 @@ def tensor_rel(rel: Relation, rel2: Relation) -> Compr:
             S.ty_lam(c, S.lin_lam(h, Lolli(u, Lolli(v, TyVar(c))),
                                   S.app(S.Var(h), S.Var(xp), S.Var(xq))))))
 
-    closed = _close_quantified(a, b, rn, inner)
+    closed = forall_rel(a, b, rn, inner)
     return reindex(closed, embed(s, s2), embed(t, t2),
                    Tensor(s, s2), Tensor(t, t2))
-
-
-def _close_quantified(a: str, b: str, rn: str, rel: Relation) -> Compr:
-    """(x:dom, y:cod). all a. all b. all R:AdmRel(a,b). rel(x, y), where
-    dom/cod are rel's signature with a/b generalized away.
-
-    Used for the tensor/unit/bang constructions whose carrier types do
-    not mention a, b."""
-    dom, cod = rel_signature(rel)
-    dom_g = S.forall(a, dom)
-    cod_g = S.forall(b, cod)
-    avoid = S.all_free_names(rel) | {a, b, rn}
-    t, u = fresh_many(["t", "u"], avoid)
-    body = forall_ty_p(a, forall_ty_p(b, forall_rel_p(
-        rn, TyVar(a), TyVar(b), Flavor.ADMREL,
-        RelApp(rel, S.TyApp(S.Var(t), TyVar(a)), S.TyApp(S.Var(u), TyVar(b))))))
-    return prop_beta(compr(t, dom_g, u, cod_g, body))
 
 
 def unit_rel() -> Compr:
@@ -292,7 +275,7 @@ def unit_rel() -> Compr:
     a, b, rn = "a", "b", "R"
     rv = RelVar(rn, TyVar(a), TyVar(b), Flavor.ADMREL)
     inner = lolli_rel(rv, rv)
-    closed = _close_quantified(a, b, rn, inner)
+    closed = forall_rel(a, b, rn, inner)
     f = S.lin_lam("x", Unit(), S.LetStar(S.Var("x"), S.poly_id()))
     return reindex(closed, f, f, Unit(), Unit())
 
@@ -304,7 +287,7 @@ def bang_rel(rel: Relation) -> Compr:
     a, b, rn = fresh_many(["a", "b", "R"], avoid)
     rv = RelVar(rn, TyVar(a), TyVar(b), Flavor.ADMREL)
     inner = lolli_rel(arrow_rel(rel, rv), rv)
-    closed = _close_quantified(a, b, rn, inner)
+    closed = forall_rel(a, b, rn, inner)
 
     def embed(u: Type) -> S.Term:
         x, g, c = fresh_many(["x", "g", "c"], avoid | {a, b, rn})

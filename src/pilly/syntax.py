@@ -11,14 +11,17 @@ indices); the index-shifting primitives at the bottom are for internal
 use by the rewriter and checker.  `CHILDREN` is the one place that lists
 a node class's children and the binders each sits under; `map_node`,
 `subnodes`, `rebuild` and the loose bounds below, and the rewriter's
-congruence walk, all read it.  Each node of all four sorts caches, on
-first use and outside its dataclass fields, one more than its largest
-loose index in each namespace, and its free type, term and relation
-names in first-occurrence order.  Shifting and instantiation return a
-subtree with no loose index they act on without walking it; closing and
-substitution (`close_*`, `subst_*`) return one that lacks the names they
-act on.  The free-name queries read the root's cache, so they cost the
-number of names on a cached node; `rebuild` drops both caches.
+congruence walk, all read it.  Each variable operation is one `VarMap`,
+whose two hooks, `free` and `bound`, get the variable's namespace and
+whose `from_` bounds the loose indices it acts on.  Each node of all
+four sorts caches, on first use and outside its dataclass fields, one
+more than its largest loose index in each namespace, and its free type,
+term and relation names in first-occurrence order.  Shifting and
+instantiation return a subtree with no loose index they act on without
+walking it; closing and substitution (`close_*`, `subst_*`) return one
+that lacks the names they act on.  The free-name queries read the root's
+cache, so they cost the number of names on a cached node; `rebuild`
+drops both caches.
 """
 
 from __future__ import annotations
@@ -484,46 +487,33 @@ BY_NAMES = "names"
 
 
 class VarMap:
-    """Identity transformation; subclasses hook the six variable cases.
+    """Identity transformation; subclasses hook the variable cases.
 
-    `map_node` calls `rel_free` on a relation variable after mapping its
-    domain and codomain, and each other hook on its leaf.  A map whose
-    `skips` is set lets `map_node` return a subtree as it is, without
-    walking it, where its hooks cannot change the subtree:
-    - `skips = True`: the hooks change nothing free and only bound
-      indices at or above `depth + ty_from` (type namespace), `depth +
-      tm_from` (term namespace) and `depth + rel_from` (relation
-      namespace), None meaning no index in that namespace; a subtree with
-      no such loose index is skipped;
+    `map_node` calls `free(node, ns, env)` on a named variable and
+    `bound(node, ns, env)` on a bound one, `ns` being the variable's
+    namespace (0 type, 1 term, 2 relation); on a relation variable it
+    calls `free` after mapping its domain and codomain.  A map that acts
+    on one namespace tests `ns` first.  A map whose `skips` is set lets
+    `map_node` return a subtree as it is, without walking it, where its
+    hooks cannot change the subtree:
+    - `skips = True`: the hooks change nothing free and, in namespace i,
+      only bound indices at or above `depth + from_[i]`, None meaning no
+      index in that namespace; a subtree with no such loose index is
+      skipped;
     - `skips = BY_NAMES`: the hooks change no bound index and only the
-      free names in `names` of namespace `ns` (0 type, 1 term, 2
-      relation); a subtree whose cached free names of that namespace miss
-      them is skipped.
+      free names in `names` of namespace `ns`; a subtree whose cached
+      free names of that namespace miss them is skipped.
     """
 
     skips = False
     names: frozenset[str] = frozenset()
     ns = 0
-    ty_from: int | None = 0
-    tm_from: int | None = 0
-    rel_from: int | None = 0
+    from_: tuple[int | None, int | None, int | None] = (0, 0, 0)
 
-    def ty_free(self, node: TyVar, env: Env) -> Type:
+    def free(self, node: Node, ns: int, env: Env) -> Node:
         return node
 
-    def ty_bound(self, node: TyBound, env: Env) -> Type:
-        return node
-
-    def tm_free(self, node: Var, env: Env) -> Term:
-        return node
-
-    def tm_bound(self, node: Bound, env: Env) -> Term:
-        return node
-
-    def rel_free(self, node: RelVar, env: Env) -> Relation:
-        return node
-
-    def rel_bound(self, node: RelBound, env: Env) -> Relation:
+    def bound(self, node: Node, ns: int, env: Env) -> Node:
         return node
 
 
@@ -640,9 +630,12 @@ TyVar._fn = property(lambda n: ((n.name,), (), ()))
 Var._fn = property(lambda n: ((), (n.name,), ()))
 
 # What map_node does at each class: call the named hook (a variable),
-# walk the children (an inner node), or nothing (a closed leaf).
-_WALK = {TyVar: "ty_free", TyBound: "ty_bound", Var: "tm_free",
-         Bound: "tm_bound", RelBound: "rel_bound", **CHILDREN}
+# walk the children (an inner node), or nothing (a closed leaf).  _NS
+# holds a variable's namespace, and _BOUND[ns] builds a bound one.
+_WALK = {TyVar: "free", TyBound: "bound", Var: "free", Bound: "bound",
+         RelBound: "bound", **CHILDREN}
+_NS = {TyVar: 0, TyBound: 0, Var: 1, Bound: 1, RelBound: 2}
+_BOUND = (TyBound, Bound, RelBound)
 
 
 def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
@@ -654,7 +647,7 @@ def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
     if kids is None:
         return n
     if type(kids) is str:
-        return getattr(m, kids)(n, (td, md, rd))
+        return getattr(m, kids)(n, _NS[cls], (td, md, rd))
     skips = m.skips
     if skips:
         if skips is BY_NAMES:
@@ -662,9 +655,10 @@ def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
                 return n
         else:
             ty, tm, rel = n._lb or _loose(n)
-            if ((m.ty_from is None or ty <= td + m.ty_from)
-                    and (m.tm_from is None or tm <= md + m.tm_from)
-                    and (m.rel_from is None or rel <= rd + m.rel_from)):
+            fty, ftm, frel = m.from_
+            if ((fty is None or ty <= td + fty)
+                    and (ftm is None or tm <= md + ftm)
+                    and (frel is None or rel <= rd + frel)):
                 return n
     if cls is TypeRel:  # its body sits under one type binder per hint
         kids = (("body", Type, len(n.hints), 0, 0), kids[1])
@@ -687,7 +681,7 @@ def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
     if changes is not None:
         n = rebuild(n, changes)
     if cls is RelVar:
-        return m.rel_free(n, (td, md, rd))
+        return m.free(n, 2, (td, md, rd))
     return n
 
 
@@ -695,41 +689,31 @@ def map_node(n: Node, m: VarMap, td: int = 0, md: int = 0, rd: int = 0) -> Node:
 # Substitution of free variables (replacements must be locally closed)
 
 
-class _SubstTypes(VarMap):
+class _Subst(VarMap):
     skips = BY_NAMES
-    ns = 0
 
-    def __init__(self, mapping):
+    def __init__(self, ns: int, mapping: dict[str, Node]):
+        self.ns = ns
         self.mapping = mapping
         self.names = frozenset(mapping)
 
-    def ty_free(self, node, env):
-        return self.mapping.get(node.name, node)
-
-
-class _SubstTerms(VarMap):
-    skips = BY_NAMES
-    ns = 1
-
-    def __init__(self, mapping):
-        self.mapping = mapping
-        self.names = frozenset(mapping)
-
-    def tm_free(self, node, env):
-        return self.mapping.get(node.name, node)
+    def free(self, node, ns, env):
+        if ns == self.ns:
+            return self.mapping.get(node.name, node)
+        return node
 
 
 def subst_types(obj: Node, mapping: dict[str, Type]) -> Node:
     """Simultaneous capture-avoiding substitution of free type variables."""
     if not mapping:
         return obj
-    return map_node(obj, _SubstTypes(mapping))
+    return map_node(obj, _Subst(0, mapping))
 
 
 def subst_terms(obj: Node, mapping: dict[str, Term]) -> Node:
     if not mapping:
         return obj
-    return map_node(obj, _SubstTerms(mapping))
+    return map_node(obj, _Subst(1, mapping))
 
 
 def subst_type_in_type(ty: Type, name: str, rep: Type) -> Type:
@@ -764,33 +748,25 @@ def contains_const(obj: Node) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Index shifting and binder instantiation (internal machinery)
+# Index shifting, binder instantiation and closing (internal machinery)
+
+
+# `VarMap.from_` of a map that acts on the bound indices of one namespace.
+_ONLY = ((0, None, None), (None, 0, None), (None, None, 0))
 
 
 class _Shift(VarMap):
     skips = True
 
-    def __init__(self, ty_by, tm_by, rel_by):
-        self.ty_by = ty_by
-        self.tm_by = tm_by
-        self.rel_by = rel_by
-        self.ty_from = 0 if ty_by else None
-        self.tm_from = 0 if tm_by else None
-        self.rel_from = 0 if rel_by else None
+    def __init__(self, by: Env):
+        self.by = by
+        ty, tm, rel = by
+        self.from_ = (0 if ty else None, 0 if tm else None, 0 if rel else None)
 
-    def ty_bound(self, node, env):
-        if self.ty_by and node.index >= env[0]:
-            return TyBound(node.index + self.ty_by)
-        return node
-
-    def tm_bound(self, node, env):
-        if self.tm_by and node.index >= env[1]:
-            return Bound(node.index + self.tm_by)
-        return node
-
-    def rel_bound(self, node, env):
-        if self.rel_by and node.index >= env[2]:
-            return RelBound(node.index + self.rel_by)
+    def bound(self, node, ns, env):
+        by = self.by[ns]
+        if by and node.index >= env[ns]:
+            return _BOUND[ns](node.index + by)
         return node
 
 
@@ -803,26 +779,28 @@ def shift(obj: Node, ty_by: int = 0, tm_by: int = 0, rel_by: int = 0,
     """
     if not (ty_by or tm_by or rel_by):
         return obj
-    return map_node(obj, _Shift(ty_by, tm_by, rel_by), td, md, rd)
+    return map_node(obj, _Shift((ty_by, tm_by, rel_by)), td, md, rd)
 
 
-class _InstTm(VarMap):
+class _Inst(VarMap):
+    """Contract the len(args) innermost binders of namespace ns."""
+
     skips = True
-    ty_from = rel_from = None
 
-    def __init__(self, args: Sequence[Term]):
+    def __init__(self, ns: int, args: Sequence[Node]):
+        self.ns = ns
         self.args = args
         self.n = len(args)
+        self.from_ = _ONLY[ns]
 
-    def tm_bound(self, node, env):
-        td, md, rd = env
-        k = node.index
-        if k < md:
+    def bound(self, node, ns, env):
+        k, d = node.index, env[ns]
+        if ns != self.ns or k < d:
             return node
-        j = k - md
+        j = k - d
         if j < self.n:
-            return shift(self.args[self.n - 1 - j], ty_by=td, tm_by=md, rel_by=rd)
-        return Bound(k - self.n)
+            return shift(self.args[self.n - 1 - j], *env)
+        return _BOUND[ns](k - self.n)
 
 
 def instantiate_tm(body: Node, *args: Term) -> Node:
@@ -830,144 +808,70 @@ def instantiate_tm(body: Node, *args: Term) -> Node:
 
     args[0] replaces the outermost of the contracted binders.
     """
-    return map_node(body, _InstTm(args))
-
-
-class _InstTy(VarMap):
-    skips = True
-    tm_from = rel_from = None
-
-    def __init__(self, tys: Sequence[Type]):
-        self.tys = tys
-        self.n = len(tys)
-
-    def ty_bound(self, node, env):
-        td, md, rd = env
-        k = node.index
-        if k < td:
-            return node
-        j = k - td
-        if j < self.n:
-            return shift(self.tys[self.n - 1 - j], ty_by=td, tm_by=md, rel_by=rd)
-        return TyBound(k - self.n)
+    return map_node(body, _Inst(1, args))
 
 
 def instantiate_ty(body: Node, *tys: Type) -> Node:
     """Contract the len(tys) innermost type binders of `body`."""
-    return map_node(body, _InstTy(tys))
-
-
-class _InstRel(VarMap):
-    skips = True
-    ty_from = tm_from = None
-
-    def __init__(self, rels: Sequence[Relation]):
-        self.rels = rels
-        self.n = len(rels)
-
-    def rel_bound(self, node, env):
-        td, md, rd = env
-        k = node.index
-        if k < rd:
-            return node
-        j = k - rd
-        if j < self.n:
-            return shift(self.rels[self.n - 1 - j], ty_by=td, tm_by=md, rel_by=rd)
-        return RelBound(k - self.n)
+    return map_node(body, _Inst(0, tys))
 
 
 def instantiate_rel(body: Node, *rels: Relation) -> Node:
-    return map_node(body, _InstRel(rels))
+    return map_node(body, _Inst(2, rels))
 
 
-class _CloseTy(VarMap):
+class _Close(VarMap):
     skips = BY_NAMES
-    ns = 0
 
-    def __init__(self, names: Sequence[str]):
+    def __init__(self, ns: int, names: Sequence[str]):
+        self.ns = ns
         self.order = names
         self.names = frozenset(names)
         self.n = len(names)
 
-    def ty_free(self, node, env):
-        if node.name in self.names:
+    def free(self, node, ns, env):
+        if ns == self.ns and node.name in self.names:
             i = self.order.index(node.name)
-            return TyBound(env[0] + self.n - 1 - i)
+            return _BOUND[ns](env[ns] + self.n - 1 - i)
         return node
 
 
 def close_ty(obj: Node, *names: str) -> Node:
     """Abstract free type variables: names[0] becomes the outermost binder."""
-    return map_node(obj, _CloseTy(names))
-
-
-class _CloseTm(VarMap):
-    skips = BY_NAMES
-    ns = 1
-
-    def __init__(self, names: Sequence[str]):
-        self.order = names
-        self.names = frozenset(names)
-        self.n = len(names)
-
-    def tm_free(self, node, env):
-        if node.name in self.names:
-            i = self.order.index(node.name)
-            return Bound(env[1] + self.n - 1 - i)
-        return node
+    return map_node(obj, _Close(0, names))
 
 
 def close_tm(obj: Node, *names: str) -> Node:
-    return map_node(obj, _CloseTm(names))
-
-
-class _CloseRel(VarMap):
-    skips = BY_NAMES
-    ns = 2
-
-    def __init__(self, name: str):
-        self.name = name
-        self.names = frozenset((name,))
-
-    def rel_free(self, node, env):
-        if node.name == self.name:
-            return RelBound(env[2])
-        return node
+    return map_node(obj, _Close(1, names))
 
 
 def close_rel(obj: Node, name: str) -> Node:
-    return map_node(obj, _CloseRel(name))
+    return map_node(obj, _Close(2, (name,)))
 
 
 class _UsesBound(VarMap):
     skips = True
-    rel_from = None
 
-    def __init__(self, ns: str, k: int):
+    def __init__(self, ns: int, k: int):
+        self.ns = ns
         self.k = k
         self.found = False
-        self.ty_from = k if ns == "ty" else None
-        self.tm_from = k if ns == "tm" else None
+        self.from_ = _ONLY[ns]
 
-    def ty_bound(self, node, env):
-        if self.ty_from is not None and node.index == env[0] + self.k:
-            self.found = True
-        return node
-
-    def tm_bound(self, node, env):
-        if self.tm_from is not None and node.index == env[1] + self.k:
+    def bound(self, node, ns, env):
+        if ns == self.ns and node.index == env[ns] + self.k:
             self.found = True
         return node
 
 
 def uses_bound_tm(obj: Node, k: int = 0) -> bool:
-    m = _UsesBound("tm", k)
+    m = _UsesBound(1, k)
     map_node(obj, m)
     return m.found
 
 
 def uses_bound_ty(obj: Node, k: int = 0) -> bool:
-    m = _UsesBound("ty", k)
+    m = _UsesBound(0, k)
     map_node(obj, m)
     return m.found
 

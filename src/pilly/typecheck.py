@@ -49,12 +49,18 @@ def kind_check(xi: tuple[str, ...] | list[str], ty: Type, depth: int = 0,
                span: Optional[Span] = None) -> None:
     """A type is well kinded under xi and `depth` type binders iff all its
     free variables are in xi and each loose index names one of the
-    binders.  Errors carry the type's own span, or else `span`."""
+    binders.  Errors carry the type's own span, or else `span`, or the
+    first occurrence of an unbound variable if it lies inside that."""
     span = getattr(ty, "span", None) or span
     for name in S.free_type_names(ty):
         if name not in xi:
+            at = next(x.span for x in S.subnodes(ty)
+                      if type(x) is S.TyVar and x.name == name)
+            if not (span and at
+                    and span.start <= at.start <= at.end <= span.end):
+                at = span
             raise TypeCheckError(
-                UNBOUND, f"type variable {name!r} is not in scope", span)
+                UNBOUND, f"type variable {name!r} is not in scope", at)
     if S.loose_bounds(ty)[0] > depth:
         raise TypeCheckError(UNBOUND, "dangling type index", span)
 

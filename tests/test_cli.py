@@ -127,11 +127,26 @@ class TestCheck:
         rc, lines = run_json(["check", f], capsys)
         assert rc == 1
         assert [(e["status"], e["message"]) for e in lines] == [
-            ("error", "1:1: UnboundVariable: type variable 'b' is not in "
+            ("error", "1:10: UnboundVariable: type variable 'b' is not in "
              "scope"),
             ("error", "2:10: UnboundVariable: type variable 'c' is not in "
              "scope"),
             ("ok", ": I")]
+
+    def test_unbound_type_variable_is_located_at_its_occurrence(
+            self, write, capsys):
+        """Inside a type with no span of its own, an unbound variable is
+        reported where it occurs; one that a synonym brings in from
+        another declaration is reported at the type that uses it."""
+        f = write("occ.pilly", "term m : !(I * d) = <>\n"
+                  "term f = fn x: I -o q. x\n"
+                  "type Sa = a -o a\nterm g = fn x: Sa. x\n"
+                  "rel R : Rel(I, q)\n")
+        rc, lines = run_json(["check", f], capsys)
+        assert rc == 1
+        assert [e["message"].split(": ")[0] for e in lines] == [
+            "1:16", "2:21", "3:11", "4:10", "5:16"]
+        assert all("UnboundVariable" in e["message"] for e in lines)
 
     def test_check_prints_inferred_type_of_y(self, write, capsys):
         f = write("y.pilly", "term y2 = Y\n#check y2\n")
@@ -307,6 +322,17 @@ class TestEncode:
     ])
     def test_kinds(self, argv):
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tensor", "N"], "tensor takes 2 type argument(s), got 1"),
+        (["rec"], "rec takes 1 type argument(s), got 0"),
+        (["nat", "I"], "nat takes 0 type argument(s), got 1"),
+        (["iso-self", "I", "N"], "iso-self takes 1 type argument(s), got 2"),
+    ])
+    def test_wrong_number_of_type_arguments(self, argv, message, capsys):
+        assert main(["encode", *argv]) == 1
+        assert capsys.readouterr().out.strip() == \
+            f"[FAIL] encode {' '.join(argv)} -- {message}"
 
     def test_bad_polarity(self, capsys):
         assert main(["encode", "mu", "a -o a"]) == 1

@@ -209,18 +209,10 @@ class _LooseRef(S.VarMap):
     """1 + the largest loose index per namespace, by a full walk."""
 
     def __init__(self):
-        self.ty = self.tm = self.rel = 0
+        self.bounds = [0, 0, 0]
 
-    def ty_bound(self, node, env):
-        self.ty = max(self.ty, node.index - env[0] + 1)
-        return node
-
-    def tm_bound(self, node, env):
-        self.tm = max(self.tm, node.index - env[1] + 1)
-        return node
-
-    def rel_bound(self, node, env):
-        self.rel = max(self.rel, node.index - env[2] + 1)
+    def bound(self, node, ns, env):
+        self.bounds[ns] = max(self.bounds[ns], node.index - env[ns] + 1)
         return node
 
 
@@ -251,29 +243,13 @@ class _Recording:
         super().__init__(*args)
         self.calls = []
 
-    def ty_free(self, node, env):
+    def free(self, node, ns, env):
         self.calls.append(node)
-        return super().ty_free(node, env)
+        return super().free(node, ns, env)
 
-    def ty_bound(self, node, env):
+    def bound(self, node, ns, env):
         self.calls.append(node)
-        return super().ty_bound(node, env)
-
-    def tm_free(self, node, env):
-        self.calls.append(node)
-        return super().tm_free(node, env)
-
-    def tm_bound(self, node, env):
-        self.calls.append(node)
-        return super().tm_bound(node, env)
-
-    def rel_free(self, node, env):
-        self.calls.append(node)
-        return super().rel_free(node, env)
-
-    def rel_bound(self, node, env):
-        self.calls.append(node)
-        return super().rel_bound(node, env)
+        return super().bound(node, ns, env)
 
 
 class TestLooseBounds:
@@ -281,7 +257,7 @@ class TestLooseBounds:
         for n in _loose_corpus():
             ref = _LooseRef()
             S.map_node(n, ref)
-            assert S._loose(n) == (ref.ty, ref.tm, ref.rel)
+            assert S._loose(n) == tuple(ref.bounds)
 
     def test_maps_match_a_full_walk(self):
         rep_tm = [S.Star(), S.Var("q"), S.Bound(1),
@@ -290,22 +266,22 @@ class TestLooseBounds:
         for i, n in enumerate(_loose_corpus()):
             for by, cut in ((1, 0), (2, 1), (-1, 1)):
                 assert S.shift(n, ty_by=by, td=cut) == _full_walk(
-                    n, S._Shift(by, 0, 0), td=cut)
+                    n, S._Shift((by, 0, 0)), td=cut)
                 assert S.shift(n, tm_by=by, md=cut) == _full_walk(
-                    n, S._Shift(0, by, 0), md=cut)
+                    n, S._Shift((0, by, 0)), md=cut)
             if isinstance(n, S.Term):
                 arg = rep_tm[i % len(rep_tm)]
                 assert S.instantiate_tm(n, arg) == _full_walk(
-                    n, S._InstTm((arg,)))
+                    n, S._Inst(1, (arg,)))
                 assert S.instantiate_tm(n, arg, S.Star()) == _full_walk(
-                    n, S._InstTm((arg, S.Star())))
+                    n, S._Inst(1, (arg, S.Star())))
             ty = rep_ty[i % len(rep_ty)]
-            assert S.instantiate_ty(n, ty) == _full_walk(n, S._InstTy((ty,)))
+            assert S.instantiate_ty(n, ty) == _full_walk(n, S._Inst(0, (ty,)))
             for k in range(3):
-                for ns in ("tm", "ty"):
+                for ns in (1, 0):
                     ref = S._UsesBound(ns, k)
                     _full_walk(n, ref)
-                    uses = S.uses_bound_tm if ns == "tm" else S.uses_bound_ty
+                    uses = S.uses_bound_tm if ns == 1 else S.uses_bound_ty
                     assert uses(n, k) == ref.found
 
     def test_relation_maps_match_a_full_walk(self):
@@ -317,16 +293,16 @@ class TestLooseBounds:
         for i, n in enumerate(_loose_corpus()):
             for by, cut in ((1, 0), (2, 1), (-1, 1)):
                 got = S.shift(n, rel_by=by, rd=cut)
-                assert got == _full_walk(n, S._Shift(0, 0, by), rd=cut)
+                assert got == _full_walk(n, S._Shift((0, 0, by)), rd=cut)
                 _assert_shared(n, got)
             rel = rep_rel[i % len(rep_rel)]
             got = S.instantiate_rel(n, rel)
-            assert got == _full_walk(n, S._InstRel((rel,)))
+            assert got == _full_walk(n, S._Inst(2, (rel,)))
             _assert_shared(n, got)
             if isinstance(n, (S.Relation, S.Proposition)):
                 args = (S.Var("q"), S.Star())
                 assert S.instantiate_tm(n, *args) == _full_walk(
-                    n, S._InstTm(args))
+                    n, S._Inst(1, args))
 
     def test_relation_maps_skip_subtrees_without_their_variable(self):
         """instantiate_rel and close_rel call no hook inside a proposition
@@ -338,17 +314,17 @@ class TestLooseBounds:
                 S.RelVar("P", unit, unit), S.Var("x"), S.Var("x")))))
         hole = S.RelApp(S.RelBound(0), S.Star(), S.Star())
 
-        class InstSpy(_Recording, S._InstRel):
+        class InstSpy(_Recording, S._Inst):
             pass
 
-        class CloseSpy(_Recording, S._CloseRel):
+        class CloseSpy(_Recording, S._Close):
             pass
 
-        inst = InstSpy((S.RelVar("R", unit, unit),))
+        inst = InstSpy(2, (S.RelVar("R", unit, unit),))
         got = S.map_node(S.Implies(side, hole), inst)
         assert inst.calls == [S.RelBound(0)] and got.left is side
         named = S.RelApp(S.RelVar("R", unit, unit), S.Star(), S.Star())
-        close = CloseSpy("R")
+        close = CloseSpy(2, ("R",))
         got = S.map_node(S.Implies(side, named), close)
         assert close.calls == [named.rel] and got.left is side
         assert got.right == hole
@@ -361,15 +337,11 @@ class TestLooseBounds:
         seen = []
 
         class Spy(S._Shift):
-            def ty_bound(self, node, env):
+            def bound(self, node, ns, env):
                 seen.append(node)
-                return super().ty_bound(node, env)
+                return super().bound(node, ns, env)
 
-            def tm_bound(self, node, env):
-                seen.append(node)
-                return super().tm_bound(node, env)
-
-        assert S.map_node(closed, Spy(1, 1, 0)) is closed
+        assert S.map_node(closed, Spy((1, 1, 0))) is closed
         assert seen == []
         assert S.shift(closed, ty_by=2, tm_by=3) is closed
         assert S.instantiate_tm(closed, S.Star()) is closed
@@ -500,17 +472,18 @@ class TestFreeNameCache:
             cases = []
             if tys:
                 a = tys[i % len(tys)]
-                cases += [(S.close_ty(obj, *tys[:2]), S._CloseTy(tys[:2])),
+                cases += [(S.close_ty(obj, *tys[:2]), S._Close(0, tys[:2])),
                           (S.subst_types(obj, {a: Unit()}),
-                           S._SubstTypes({a: Unit()}))]
+                           S._Subst(0, {a: Unit()}))]
             if tms:
                 x = tms[i % len(tms)]
                 rep = S.App(S.Var("q"), S.Star())
-                cases += [(S.close_tm(obj, *tms[-2:]), S._CloseTm(tms[-2:])),
+                cases += [(S.close_tm(obj, *tms[-2:]), S._Close(1, tms[-2:])),
                           (S.subst_terms(obj, {x: rep}),
-                           S._SubstTerms({x: rep}))]
+                           S._Subst(1, {x: rep}))]
             if rels:
-                cases.append((S.close_rel(obj, rels[0]), S._CloseRel(rels[0])))
+                cases.append((S.close_rel(obj, rels[0]),
+                              S._Close(2, (rels[0],))))
             for got, m in cases:
                 assert got == _full_walk(obj, m)
                 _assert_shared(obj, got)
@@ -520,18 +493,44 @@ class TestFreeNameCache:
         t = S.App(S.App(big, S.Var("x")), big)
         calls = []
 
-        class Spy(S._CloseTm):
-            def tm_free(self, node, env):
+        class Spy(S._Close):
+            def free(self, node, ns, env):
                 calls.append(node.name)
-                return super().tm_free(node, env)
+                return super().free(node, ns, env)
 
-        got = S.map_node(t, Spy(("x",)))
+        got = S.map_node(t, Spy(1, ("x",)))
         assert calls == ["x"]
         assert got.fn.fn is big and got.arg is big
         assert S.close_tm(big, "x") is big
         assert S.subst_terms(big, {"x": S.Star()}) is big
         assert S.subst_types(big, {"a": Unit()}) is big
         assert S.close_rel(big, "R") is big
+
+    def test_each_map_leaves_the_other_namespaces_alone(self):
+        """One free `a` in each namespace, and a loose index 0 in each:
+        every map changes the variables of its own namespace only."""
+        unit, star, a = Unit(), S.Star(), TyVar("a")
+
+        def prop(rel, dom=a, fn=S.Var("a"), tm=S.Bound(0), ty=S.TyBound(0),
+                 rhs=S.Var("a")):
+            rel = S.RelVar("a", dom, dom) if rel is None else rel
+            return S.RelApp(rel, S.App(fn, S.TyApp(tm, ty)), rhs)
+
+        p, twin = prop(None), prop(S.RelBound(0))
+        assert S.subst_types(p, {"a": unit}) == prop(None, dom=unit)
+        assert S.subst_terms(p, {"a": star}) == prop(None, fn=star, rhs=star)
+        assert S.close_ty(p, "a") == prop(None, dom=S.TyBound(0))
+        assert S.close_tm(p, "a") == prop(None, fn=S.Bound(0),
+                                          rhs=S.Bound(0))
+        assert S.close_rel(p, "a") == twin
+        q = S.RelVar("Q", unit, unit)
+        assert S.instantiate_ty(twin, unit) == prop(S.RelBound(0), ty=unit)
+        assert S.instantiate_tm(twin, star) == prop(S.RelBound(0), tm=star)
+        assert S.instantiate_rel(twin, q) == prop(q)
+        assert S.instantiate_rel(p, q) is p
+        assert not S.uses_bound_tm(S.TyApp(S.Bound(1), S.TyBound(0)))
+        assert not S.uses_bound_ty(S.App(S.Bound(0),
+                                         S.TyApp(star, S.TyBound(1))))
 
     def test_rebuild_drops_the_cache(self):
         t = S.App(S.Var("f"), S.TyApp(S.Var("x"), TyVar("a")))
@@ -549,7 +548,9 @@ class TestChildTable:
     def test_table_covers_the_syntax(self):
         """Every node class lists exactly its node-valued fields in the
         table, with their sort; a class without any is a leaf, which
-        holds its loose bounds and free names on the class."""
+        holds its loose bounds and free names on the class.  A leaf with
+        a name or an index is a variable: map_node calls a hook on it with
+        its namespace, and a bound one is what _BOUND builds there."""
         sorts = (S.Type, S.Term, S.Relation, S.Proposition)
         todo, classes = list(sorts), set()
         while todo:
@@ -557,6 +558,7 @@ class TestChildTable:
                 classes.add(sub)
                 todo.append(sub)
         assert set(S.CHILDREN) <= classes
+        variables = set()
         for cls in classes:
             assert dataclasses.is_dataclass(cls), cls
             annotated = {f.name: f.type for f in dataclasses.fields(cls)
@@ -570,3 +572,10 @@ class TestChildTable:
                 assert cls._lb is None and cls._fn is None, cls
             else:
                 assert cls._lb is not None and cls._fn is not None, cls
+            fields = {f.name for f in dataclasses.fields(cls)}
+            if cls not in S.CHILDREN and fields & {"name", "index"}:
+                variables.add(cls)
+                assert cls in S._WALK and cls in S._NS, cls
+                if "index" in fields:
+                    assert S._BOUND[S._NS[cls]] is cls, cls
+        assert variables == {TyVar, S.TyBound, S.Var, S.Bound, S.RelBound}
