@@ -111,9 +111,9 @@ def _setting(file_cfg: dict, key: str, default):
 # File elaboration
 
 
-def _locate(text: str, e: Exception) -> str:
+def _locate(text: str | None, e: Exception) -> str:
     span = getattr(e, "span", None)
-    if span is None:
+    if span is None or text is None:
         return str(e)
     line = text.count("\n", 0, span.start) + 1
     col = span.start - (text.rfind("\n", 0, span.start) + 1) + 1
@@ -180,7 +180,7 @@ def elaborate_file(text: str, target: str, cfg: Config,
                 report.add(ReportEntry(f"{target}:{decl.name}", "rel", "ok",
                                        seconds=time.perf_counter() - t0))
             elif isinstance(decl, P.Directive) and run_directives:
-                run_directive(decl, elab, target, cfg, report)
+                run_directive(decl, text, elab, target, cfg, report)
         except (TypeCheckError, RL.FormationError, P.ParseError) as e:
             name = getattr(decl, "name", type(decl).__name__)
             report.add(ReportEntry(f"{target}:{name}", "decl", "error",
@@ -199,8 +199,8 @@ def _directive_entry(target: str, name: str, t0: float, status: str,
                        time.perf_counter() - t0)
 
 
-def run_directive(d: P.Directive, elab: Elaborated, target: str, cfg: Config,
-                  report: RunReport) -> None:
+def run_directive(d: P.Directive, text: str | None, elab: Elaborated,
+                  target: str, cfg: Config, report: RunReport) -> None:
     t0 = time.perf_counter()
 
     def done(status: str, message: str = "") -> None:
@@ -253,7 +253,7 @@ def run_directive(d: P.Directive, elab: Elaborated, target: str, cfg: Config,
         else:
             done("error", f"unknown directive {d.name!r}")
     except _DIRECTIVE_ERRORS as e:
-        done("error", str(e))
+        done("error", _locate(text, e))
 
 
 def build_schema(kind: str, payload, elab: Elaborated) -> S.Proposition:
@@ -321,7 +321,8 @@ def _file_directive(path: str | None, name: str, cfg: Config,
         except _DIRECTIVE_ERRORS as e:
             problem = str(e)
         else:
-            run_directive(d, elab, target, cfg, report)
+            # the payload's spans index the arguments, not the file
+            run_directive(d, None, elab, target, cfg, report)
             return report
     report.add(_directive_entry(target, name, t0, "error", problem))
     return report

@@ -577,7 +577,9 @@ class RecParts:
     neg_var: str
     pos_var: str
     omega_body: Type          # the inner least fixed point, open in neg_var
-    tau_prime: Type
+    a: str                    # the companion's variable
+    phi: Type                 # the companion's body, open in a
+    tau_prime: Type           # nu a. phi
     tau: Type
 
 
@@ -594,7 +596,7 @@ def _rec_parts(var: str, body: Type,
     phi = S.subst_types(st.split, phi_map)
     tau_prime = nu_type(a, phi)
     tau = S.subst_type_in_type(omega, n, tau_prime)
-    return RecParts(st.split, n, p, omega, tau_prime, tau)
+    return RecParts(st.split, n, p, omega, a, phi, tau_prime, tau)
 
 
 def encode_rec(var: str, body: Type) -> EncodingBundle:
@@ -616,10 +618,7 @@ def encode_rec(var: str, body: Type) -> EncodingBundle:
     mu_bundle_body = S.subst_type_in_type(s4, n, tau_p)  # open in p
     in_ = mu_in(p, mu_bundle_body)                        # s(tau', tau) -o tau
     fold = mu_fold(p, mu_bundle_body)
-    a = fresh("a", set(free_type_names(body)) | {n, p})
-    phi = S.subst_types(s4, {n: S.subst_type_in_type(parts.omega_body, n,
-                                                     TyVar(a)),
-                             p: TyVar(a)})
+    a, phi = parts.a, parts.phi
     out, _ = nu_out(a, phi)                               # tau' -o s(tau, tau')
     unfold = nu_unfold(a, phi)
 
@@ -761,12 +760,7 @@ def encode_rec_params(neg_params: list[str], pos_params: list[str],
     params = list(neg_params) + list(pos_params)
     mu_bundle_body = S.subst_type_in_type(s4, n, tau_p)
     in_ = mu_in(p, mu_bundle_body)
-    a = fresh("a", set(free_type_names(body)) | {n, p})
-    phi = S.subst_types(s4, {**swap,
-                             n: S.subst_type_in_type(parts.omega_body, n,
-                                                     TyVar(a)),
-                             p: TyVar(a)})
-    out, _ = nu_out(a, phi)
+    out, _ = nu_out(parts.a, parts.phi)
 
     b = EncodingBundle("rec_params", tau)
     b.combinators["into"] = (

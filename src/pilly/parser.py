@@ -118,7 +118,6 @@ class Signature:
     types: dict[str, tuple[tuple[str, ...], S.Type]] = field(default_factory=dict)
     rels: dict[str, tuple[S.Type, S.Type, Flavor, Optional[S.Relation]]] = \
         field(default_factory=dict)
-    terms: dict[str, S.Type] = field(default_factory=dict)
 
 
 # Declarations

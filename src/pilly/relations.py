@@ -1,14 +1,14 @@
 """Definable relations, admissibility derivations and schema generators.
 
 Relations are comprehensions, relation variables, or relational
-interpretations of types.  The derived constructions (graph, reindexing,
-the per-type-constructor constructions, the admissible closure) all
-produce comprehensions whose bodies are kept in beta-normal form by
-`prop_beta`, one walk over the child table for relations and
-propositions alike: a comprehension applied to arguments is unfolded,
-terms inside propositions are normalized by the rewriter, and a subtree
-already in normal form is kept as the same object, cached loose bounds
-and free names included.
+interpretations of types; their formation is checked on the type
+checker's binder stack.  The derived constructions (graph, reindexing,
+the per-type-constructor constructions, the admissible closure) produce
+comprehensions kept in beta-normal form by `prop_beta`, one walk over
+the child table for relations and propositions alike: a comprehension
+applied to arguments is unfolded, terms inside propositions are
+normalized by the rewriter, and a subtree already in normal form is kept
+as the same object, cached loose bounds and free names included.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from .rewrite import FuelExhausted, RewriteConfig, normalize
 from .syntax import (CHILDREN, And, Bottom, Compr, ExistsRel, ExistsTm,
                      ExistsTy, Flavor, Forall, ForallRel, ForallTm, ForallTy,
                      Implies, InternalEq, Lolli, Or, Proposition, RelApp,
-                     Relation, RelContext, RelVar, Tensor, TermContext, Top,
-                     TyConst, TypeRel, TyVar, Type, Unit, Bang,
-                     arrow, compr, forall, forall_rel_p, forall_tm_p,
+                     RelBound, Relation, RelContext, RelVar, Tensor,
+                     TermContext, Top, TyConst, TypeRel, TyVar, Type, Unit,
+                     Bang, arrow, compr, forall, forall_rel_p, forall_tm_p,
                      forall_ty_p, free_term_names, free_type_names, fresh,
                      fresh_many, instantiate_tm, rel_signature, type_rel)
-from .typecheck import TypeCheckError, infer_type, kind_check
+from .typecheck import (Inferencer, TypeCheckError, infer_type, kind_check,
+                        validate_context)
 
 
 class FormationError(Exception):
@@ -80,97 +81,105 @@ class RelJudgement:
     gamma: dict[str, Type]
     theta: RelContext
     relation: Relation
-    dom: Type | None = None
-    cod: Type | None = None
-    flavor: Flavor = Flavor.REL
+
+
+class _Formation(Inferencer):
+    """Formation checking on the type checker's binder stack, opening no
+    binder: a type binder pushes its hint on `tys`, a term binder an
+    intuitionistic entry on `tms`, and a relation binder (dom, cod,
+    len(tys)) on `rels`, which `RelBound(k)` reads at `rels[-1-k]`."""
+
+    def __init__(self, xi, gamma, theta: RelContext):
+        ctx = TermContext(tuple(xi), gamma, {})
+        validate_context(ctx)
+        super().__init__(ctx)
+        self.theta = theta.entries
+        self.rels: list[tuple[Type, Type, int]] = []
+
+    def kind(self, *tys: Type) -> None:
+        for ty in tys:
+            kind_check(self.xi, ty, len(self.tys))
+
+    def relation(self, r: Relation) -> tuple[Type, Type]:
+        if isinstance(r, RelVar):
+            if r.name not in self.theta:
+                raise FormationError(
+                    f"relation variable {r.name!r} not in scope")
+            d, c, _ = self.theta[r.name]
+            if d != r.dom or c != r.cod:
+                raise FormationError(
+                    f"relation variable {r.name!r} used at "
+                    f"({self.show(r.dom)}, {self.show(r.cod)}) but declared "
+                    f"at ({print_type(d)}, {print_type(c)})")
+            self.kind(r.dom, r.cod)
+            return r.dom, r.cod
+        if isinstance(r, RelBound) and r.index < len(self.rels):
+            dom, cod, depth = self.rels[-1 - r.index]
+            by = len(self.tys) - depth
+            return S.shift(dom, ty_by=by), S.shift(cod, ty_by=by)
+        if isinstance(r, Compr):
+            self.kind(r.tyx, r.tyy)
+            self.bind(r.hintx, r.tyx, False)
+            self.bind(r.hinty, r.tyy, False)
+            self.prop(r.body)
+            del self.tms[-2:]
+            return r.tyx, r.tyy
+        if isinstance(r, TypeRel):
+            sigs = [self.relation(a) for a in r.args]
+            dom = S.instantiate_ty(r.body, *[d for d, _ in sigs])
+            cod = S.instantiate_ty(r.body, *[c for _, c in sigs])
+            self.kind(dom, cod)
+            return dom, cod
+        raise FormationError(f"not a relation: {r!r}")
+
+    def prop(self, p: Proposition) -> None:
+        if isinstance(p, InternalEq):
+            self.kind(p.ty)
+            for t in (p.lhs, p.rhs):
+                ty = self.infer(t)[0]
+                if ty != p.ty:
+                    raise FormationError(
+                        f"equality at {self.show(p.ty)} applied to a term "
+                        f"of type {self.show(ty)}")
+        elif isinstance(p, RelApp):
+            dom, cod = self.relation(p.rel)
+            for t, want in ((p.lhs, dom), (p.rhs, cod)):
+                ty = self.infer(t)[0]
+                if ty != want:
+                    raise FormationError(
+                        f"relation with domain/codomain {self.show(want)} "
+                        f"applied to a term of type {self.show(ty)}")
+        elif isinstance(p, (Implies, And, Or)):
+            self.prop(p.left)
+            self.prop(p.right)
+        elif isinstance(p, (ForallTy, ExistsTy)):
+            self.tys.append(p.hint)
+            self.prop(p.body)
+            self.tys.pop()
+        elif isinstance(p, (ForallTm, ExistsTm)):
+            self.kind(p.ty)
+            self.bind(p.hint, p.ty, False)
+            self.prop(p.body)
+            self.tms.pop()
+        elif isinstance(p, (ForallRel, ExistsRel)):
+            self.kind(p.dom, p.cod)
+            self.rels.append((p.dom, p.cod, len(self.tys)))
+            self.prop(p.body)
+            self.rels.pop()
+        elif not isinstance(p, (Top, Bottom)):
+            raise FormationError(f"not a proposition: {p!r}")
 
 
 def check_relation(xi, gamma, theta: RelContext, r: Relation
                    ) -> tuple[Type, Type]:
     """Formation check; returns the relation's domain and codomain."""
-    if isinstance(r, RelVar):
-        if r.name in theta.entries:
-            d, c, fl = theta.entries[r.name]
-            if d != r.dom or c != r.cod:
-                raise FormationError(
-                    f"relation variable {r.name!r} used at "
-                    f"({print_type(r.dom)}, {print_type(r.cod)}) but declared "
-                    f"at ({print_type(d)}, {print_type(c)})")
-        else:
-            raise FormationError(f"relation variable {r.name!r} not in scope")
-        kind_check(xi, r.dom)
-        kind_check(xi, r.cod)
-        return r.dom, r.cod
-    if isinstance(r, Compr):
-        kind_check(xi, r.tyx)
-        kind_check(xi, r.tyy)
-        x, y, body = S.open_compr(r, set(gamma) | set(xi) | theta.names())
-        gamma2 = dict(gamma)
-        gamma2[x] = r.tyx
-        gamma2[y] = r.tyy
-        check_prop(xi, gamma2, theta, body)
-        return r.tyx, r.tyy
-    if isinstance(r, TypeRel):
-        for a in r.args:
-            check_relation(xi, gamma, theta, a)
-        dom, cod = rel_signature(r)
-        kind_check(xi, dom)
-        kind_check(xi, cod)
-        return dom, cod
-    raise FormationError(f"not a relation: {r!r}")
+    return _Formation(xi, gamma, theta).relation(r)
 
 
 def check_prop(xi, gamma, theta: RelContext, p: Proposition) -> None:
     """Well-formedness of a proposition: terms are typed with the
     intuitionistic context only (no linear hypotheses in the logic)."""
-    ctx = lambda: TermContext(tuple(xi), dict(gamma), {})
-    if isinstance(p, InternalEq):
-        kind_check(xi, p.ty)
-        for t in (p.lhs, p.rhs):
-            res = infer_type(ctx(), t)
-            if res.ty != p.ty:
-                raise FormationError(
-                    f"equality at {print_type(p.ty)} applied to a term of "
-                    f"type {print_type(res.ty)}")
-        return
-    if isinstance(p, RelApp):
-        dom, cod = check_relation(xi, gamma, theta, p.rel)
-        for t, want in ((p.lhs, dom), (p.rhs, cod)):
-            res = infer_type(ctx(), t)
-            if res.ty != want:
-                raise FormationError(
-                    f"relation with domain/codomain {print_type(want)} "
-                    f"applied to a term of type {print_type(res.ty)}")
-        return
-    if isinstance(p, (Implies, And, Or)):
-        check_prop(xi, gamma, theta, p.left)
-        check_prop(xi, gamma, theta, p.right)
-        return
-    if isinstance(p, (Top, Bottom)):
-        return
-    avoid = set(xi) | set(gamma) | theta.names()
-    if isinstance(p, (ForallTy, ExistsTy)):
-        a = fresh(p.hint, avoid)
-        check_prop(tuple(xi) + (a,), gamma, theta,
-                   S.instantiate_ty(p.body, TyVar(a)))
-        return
-    if isinstance(p, (ForallTm, ExistsTm)):
-        kind_check(xi, p.ty)
-        x = fresh(p.hint, avoid)
-        gamma2 = dict(gamma)
-        gamma2[x] = p.ty
-        check_prop(xi, gamma2, theta, instantiate_tm(p.body, S.Var(x)))
-        return
-    if isinstance(p, (ForallRel, ExistsRel)):
-        kind_check(xi, p.dom)
-        kind_check(xi, p.cod)
-        rn = fresh(p.hint, avoid)
-        theta2 = RelContext(dict(theta.entries))
-        theta2.entries[rn] = (p.dom, p.cod, p.flavor)
-        body = S.instantiate_rel(p.body, RelVar(rn, p.dom, p.cod, p.flavor))
-        check_prop(xi, gamma, theta2, body)
-        return
-    raise FormationError(f"not a proposition: {p!r}")
+    _Formation(xi, gamma, theta).prop(p)
 
 
 # ---------------------------------------------------------------------------

@@ -383,18 +383,12 @@ class TermContext:
     gamma: dict[str, Type] = field(default_factory=dict)
     delta: dict[str, Type] = field(default_factory=dict)
 
-    def names(self) -> set[str]:
-        return set(self.xi) | set(self.gamma) | set(self.delta)
-
 
 @dataclass
 class RelContext:
     """Ordered relational context: name -> (domain, codomain, flavor)."""
 
     entries: dict[str, tuple[Type, Type, Flavor]] = field(default_factory=dict)
-
-    def names(self) -> set[str]:
-        return set(self.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def validate_context(ctx: TermContext) -> None:
                     e.span) from e
 
 
-class _Inferencer:
+class Inferencer:
     """Infers under the binders of a term without opening them.
 
     `tys` holds the hints of the type binders in scope, outermost first,
@@ -93,7 +93,7 @@ class _Inferencer:
     bound, linear?); `Bound(k)` reads `tms[-1-k]`.  A binder's type is
     shifted when it is read under later type binders.  The consumed set
     holds the names of consumed context variables and the stack levels of
-    consumed bound ones.
+    consumed bound ones.  `relations` checks formation on these stacks.
     """
 
     def __init__(self, ctx: TermContext):
@@ -274,7 +274,7 @@ class _Inferencer:
 def infer_type(ctx: TermContext, t: S.Term) -> TypingResult:
     """Infer the unique type of a term, enforcing full linear consumption."""
     validate_context(ctx)
-    ty, used, elab = _Inferencer(ctx).infer(t)
+    ty, used, elab = Inferencer(ctx).infer(t)
     leftover = [n for n in ctx.delta if n not in used]
     if leftover:
         names = ", ".join(leftover)

@@ -148,6 +148,20 @@ class TestCheck:
             "1:16", "2:21", "3:11", "4:10", "5:16"]
         assert all("UnboundVariable" in e["message"] for e in lines)
 
+    def test_directive_error_is_located_in_its_file(self, write, capsys):
+        """A directive's error carries its line and column, as a
+        declaration's does; a command's arguments are not the file, so
+        the same error there stays unlocated."""
+        f = write("dir.pilly", "term t = fn y: !q. y\n#check fn y: !q. y\n"
+                  "#normalize fn y: !q. y\n")
+        rc, lines = run_json(["check", f], capsys)
+        assert rc == 1
+        assert [e["message"].split(": ")[0] for e in lines] == [
+            "1:17", "2:15", "3:19"]
+        rc, lines = run_json(["schema", "lrl", "fn y: !q. y"], capsys)
+        assert rc == 1
+        assert lines[-1]["message"].startswith("UnboundVariable: ")
+
     def test_check_prints_inferred_type_of_y(self, write, capsys):
         f = write("y.pilly", "term y2 = Y\n#check y2\n")
         assert main(["check", f]) == 0

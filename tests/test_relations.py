@@ -2,13 +2,15 @@
 admissibility derivations, the closure operator and schema generators."""
 
 import random
+import re
 
 import pytest
 
 from conftest import gen_type
 from pilly import encodings as E
+from pilly import relations as RL
 from pilly import syntax as S
-from pilly.parser import parse_term, parse_type
+from pilly.parser import Signature, parse_prop, parse_term, parse_type
 from pilly.pretty import pp
 from pilly.relations import (Derivation, FormationError, PurityError,
                              RelJudgement, arrow_rel, bang_rel, check_prop,
@@ -19,6 +21,7 @@ from pilly.relations import (Derivation, FormationError, PurityError,
                              reindex, tensor_rel, type_rel_interp, unit_rel)
 from pilly.syntax import (Flavor, Lolli, RelContext, RelVar, TermContext,
                           Tensor, TyConst, TyVar, Unit)
+from pilly.typecheck import TypeCheckError
 
 XI = ("s", "t")
 THETA = RelContext(entries={
@@ -274,6 +277,109 @@ class TestFormation:
         with pytest.raises(FormationError):
             check_relation((), {}, RelContext(),
                            RelVar("missing", Unit(), Unit(), Flavor.REL))
+
+    @pytest.mark.parametrize("prop, expected", [
+        pytest.param(
+            "all a. all Q : Rel(a, I). all b. all x:a. all y:I. Q(x, y)",
+            None, id="bound-relation-under-a-later-type-binder"),
+        pytest.param(
+            "all a. all Q : Rel(a, I). all b. all x:b. all y:I. Q(x, y)",
+            (FormationError, "domain/codomain a applied to a term of type b"),
+            id="bound-relation-under-a-later-type-binder-misapplied"),
+        pytest.param(
+            "(all R : Rel(I, I). R(<>, <>)) /\\ (all x:s. all y:t. R(x, y))",
+            None, id="theta-relation-shadowed-then-used-outside"),
+        pytest.param(
+            "(all R : Rel(I, I). R(<>, <>)) /\\ R(<>, <>)",
+            (FormationError, "domain/codomain s applied to a term of type I"),
+            id="theta-relation-outside-the-shadow-keeps-its-types"),
+        pytest.param(
+            "all x:s. all y:t. all R : Rel(I, I). R(x, y)",
+            (FormationError, "domain/codomain I applied to a term of type s"),
+            id="theta-relation-shadowed-at-its-own-types"),
+        pytest.param(
+            "all a. all x:a. x =_{I} x",
+            (FormationError, "equality at I applied to a term of type a"),
+            id="equality-at-the-wrong-type-names-the-binder"),
+        pytest.param(
+            "all z:s. all w:t. ((x:s, y:t). x =_{s} z)(z, w)",
+            None, id="comprehension-uses-an-outer-term"),
+        pytest.param(
+            "all z:t. all w:t. ((x:s, y:t). x =_{s} z)(w, w)",
+            (FormationError, "equality at s applied to a term of type t"),
+            id="comprehension-uses-an-outer-term-at-the-wrong-type"),
+        pytest.param(
+            "all z:s. ((x:I, y:I). T)(<>, <>) /\\ z =_{s} z",
+            None, id="comprehension-binders-end-with-it"),
+        pytest.param(
+            "all a. all Q : Rel(a, a). (all b. T) /\\ (all x:a. Q(x, x))",
+            None, id="type-binders-end-with-their-scope"),
+        pytest.param(
+            "all Q : Rel(s, t). all f:s -o s. all g:t -o t. "
+            "(c -o c)[Q](f, g)",
+            None, id="type-relation-of-a-bound-relation"),
+        pytest.param(
+            S.forall_ty_p("b", S.forall_rel_p(
+                "Q", TyVar("s"), TyVar("t"), Flavor.ADMREL, S.forall_tm_p(
+                    "f", Lolli(TyVar("s"), TyVar("b")), S.forall_tm_p(
+                        "g", Lolli(TyVar("t"), TyVar("b")), S.RelApp(
+                            S.type_rel(["c"], Lolli(TyVar("c"), TyVar("b")),
+                                       [RelVar("Q", TyVar("s"), TyVar("t"))]),
+                            S.Var("f"), S.Var("g")))))),
+            None, id="type-relation-body-under-an-outer-type-binder"),
+        pytest.param(
+            "ex a. ex Q : AdmRel(a, a). ex x:a. Q(x, x) \\/ F",
+            None, id="existentials"),
+        pytest.param(
+            S.ForallTm("x", Unit(), S.InternalEq(Unit(), S.Var("x"),
+                                                 S.Star())),
+            (TypeCheckError, "variable 'x' is not in scope"),
+            id="free-term-name-not-captured-by-a-binder"),
+        pytest.param(
+            S.ForallTy("a", S.ForallTm("y", TyVar("a"), S.Top())),
+            (TypeCheckError, "type variable 'a' is not in scope"),
+            id="free-type-name-not-captured-by-a-binder"),
+        pytest.param(
+            S.ForallTy("a", S.ForallTm("x", S.TyBound(1), S.Top())),
+            (TypeCheckError, "dangling type index"),
+            id="dangling-type-index"),
+        pytest.param(
+            S.ForallTm("x", Unit(), S.InternalEq(Unit(), S.Bound(1),
+                                                 S.Star())),
+            (TypeCheckError, "dangling bound variable"),
+            id="dangling-term-index"),
+        pytest.param(
+            S.ForallRel("Q", Unit(), Unit(), Flavor.REL,
+                        S.RelApp(S.RelBound(1), S.Star(), S.Star())),
+            (FormationError, "not a relation"),
+            id="dangling-relation-index"),
+    ])
+    def test_formation_rules(self, prop, expected):
+        sig = Signature(rels={n: (d, c, fl, None)
+                              for n, (d, c, fl) in THETA.entries.items()})
+        p = parse_prop(prop, sig) if isinstance(prop, str) else prop
+        if expected is None:
+            check_prop(XI, {}, THETA, p)
+            return
+        exc, message = expected
+        with pytest.raises(exc, match=re.escape(message)):
+            check_prop(XI, {}, THETA, p)
+
+    def test_formation_opens_no_binder(self, monkeypatch):
+        """Every catalog schema law is checked on the binder stack: with
+        each way of opening a binder, and the per-term `infer_type`,
+        made to fail, all of them still pass."""
+        laws = [p for b in E.catalog().values() for _, p in b.schema_laws]
+
+        def opened(*args, **kwargs):
+            raise AssertionError("formation checking opened a binder")
+
+        for mod, name in ((RL, "instantiate_tm"), (S, "instantiate_rel"),
+                          (S, "open_compr"), (RL, "infer_type"),
+                          (RL, "fresh"), (S, "fresh_many")):
+            monkeypatch.setattr(mod, name, opened)
+        for p in laws:
+            check_prop((), {}, RelContext(), p)
 
     def test_flavor_never_promoted(self):
         # a Rel-flavored variable stays underivable even when a same-name
