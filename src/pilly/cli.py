@@ -334,14 +334,8 @@ def cmd_normalize(args, cfg: Config) -> RunReport:
 
 
 def cmd_equal(args, cfg: Config) -> RunReport:
-    def sides(elab: Elaborated) -> tuple:
-        lhs = P.parse_term(args.lhs, elab.sig)
-        rhs = P.parse_term(args.rhs, elab.sig)
-        for t in (lhs, rhs):  # `#equal` itself does not typecheck
-            infer_type(elab.ctx(), t)
-        return lhs, rhs
-
-    return _file_directive(args.file, "equal", cfg, sides)
+    return _file_directive(args.file, "equal", cfg, lambda elab: (
+        P.parse_term(args.lhs, elab.sig), P.parse_term(args.rhs, elab.sig)))
 
 
 def _encode_rec_params(body: S.Type) -> E.EncodingBundle:

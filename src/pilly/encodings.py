@@ -856,12 +856,12 @@ class BundleReport:
                 and all(self.schemas.values()))
 
 
-def verify_bundle(b: EncodingBundle, cfg: RewriteConfig | None = None,
-                  xi: tuple[str, ...] = ()) -> BundleReport:
+def verify_bundle(b: EncodingBundle,
+                  cfg: RewriteConfig | None = None) -> BundleReport:
     """Typecheck every combinator, replay every beta law, and check every
     schema law is a well-formed proposition."""
     cfg = cfg or RewriteConfig()
-    ctx = TermContext(xi=xi)
+    ctx = TermContext()
     combs: dict[str, bool] = {}
     for name, (term, ty) in b.combinators.items():
         try:
@@ -875,7 +875,7 @@ def verify_bundle(b: EncodingBundle, cfg: RewriteConfig | None = None,
     schemas: dict[str, bool] = {}
     for name, prop in b.schema_laws:
         try:
-            R.check_prop(xi, {}, S.RelContext(), prop)
+            R.check_prop((), {}, S.RelContext(), prop)
             schemas[name] = True
         except (R.FormationError, R.PurityError, TypeCheckError):
             schemas[name] = False

@@ -72,7 +72,6 @@ def polarity(ty: Type, name: str) -> Polarity:
 
 @dataclass(frozen=True)
 class SplitType:
-    original: Type
     split: Type
     neg_var: str
     pos_var: str
@@ -82,15 +81,10 @@ class SplitType:
                              {self.neg_var: TyVar(name), self.pos_var: TyVar(name)})
 
 
-def split_occurrences(ty: Type, name: str, neg_var: str | None = None,
-                      pos_var: str | None = None) -> SplitType:
+def split_occurrences(ty: Type, name: str) -> SplitType:
     """Split occurrences of a variable by sign into two fresh variables."""
-    avoid = set(free_type_names(ty)) | {name}
-    if neg_var is None:
-        neg_var = fresh(name + "n", avoid)
-    avoid.add(neg_var)
-    if pos_var is None:
-        pos_var = fresh(name + "p", avoid)
+    neg_var, pos_var = fresh_many([name + "n", name + "p"],
+                                  {*free_type_names(ty), name})
 
     def go(t: Type, sign: bool) -> Type:
         if isinstance(t, TyVar):
@@ -113,7 +107,7 @@ def split_occurrences(ty: Type, name: str, neg_var: str | None = None,
             return t
         return t
 
-    return SplitType(ty, go(ty, True), neg_var, pos_var)
+    return SplitType(go(ty, True), neg_var, pos_var)
 
 
 def _act(s: Type, vn: str, vp: str, ns: Type, ps: Type, nd: Type, pd: Type,

@@ -59,7 +59,6 @@ class Tok(NamedTuple):
 
 @dataclass
 class Diagnostic:
-    severity: str
     message: str
     span: Span
 
@@ -69,7 +68,7 @@ class Diagnostic:
             line = text.count("\n", 0, self.span.start) + 1
             col = self.span.start - (text.rfind("\n", 0, self.span.start) + 1) + 1
             loc = f"{line}:{col}"
-        return f"{self.severity}: {loc}: {self.message}"
+        return f"error: {loc}: {self.message}"
 
 
 class ParseError(Exception):
@@ -768,7 +767,7 @@ def parse_file(text: str, sig: Signature | None = None
     try:
         toks = tokenize(text)
     except ParseError as e:
-        return SourceFile([], sig), [Diagnostic("error", e.message, e.span)]
+        return SourceFile([], sig), [Diagnostic(e.message, e.span)]
     p = Parser(toks, sig)
     decls: list[Decl] = []
     seen: set[str] = set()
@@ -779,7 +778,7 @@ def parse_file(text: str, sig: Signature | None = None
             if isinstance(d, (TypeDecl, TermDecl, RelDecl)):
                 if d.name in seen:
                     diags.append(Diagnostic(
-                        "error", f"duplicate declaration of {d.name!r}", d.span))
+                        f"duplicate declaration of {d.name!r}", d.span))
                     continue
                 seen.add(d.name)
             if isinstance(d, TypeDecl):
@@ -792,7 +791,7 @@ def parse_file(text: str, sig: Signature | None = None
                     sig.rels[d.name] = (dom, cod, Flavor.REL, d.body)
             decls.append(d)
         except ParseError as e:
-            diags.append(Diagnostic("error", e.message, e.span))
+            diags.append(Diagnostic(e.message, e.span))
             # statement-level resync: skip to the next declaration keyword
             if p.pos == start_pos:
                 p.next()

@@ -3,6 +3,11 @@
 Output re-parses to an alpha-equal object.  `sugar=True` additionally
 folds `!s -o t` into `s -> t` and the intuitionistic-lambda pattern into
 `lam x:s. t`; both forms re-parse to the identical core object.
+
+A printing walks its node once and never builds a renamed copy of a
+binder body.  It names each binder fresh against the names in scope and
+keeps a stack of names per namespace (type, term, relation): bound index
+k prints as the name k places below the top of its namespace's stack.
 """
 
 from __future__ import annotations
@@ -11,239 +16,214 @@ from .syntax import (
     And, App, Bang, BangIntro, Bottom, Bound, Compr, ExistsRel, ExistsTm,
     ExistsTy, Forall, ForallRel, ForallTm, ForallTy, Implies, InternalEq,
     LetBang, LetStar, LetTensor, LinLam, Lolli, Node, Or, Proposition, RelApp,
-    Relation, RelVar, Star, Tensor, TensorPair, Term, Top, TyBound, Type,
-    TypeRel, TyApp, TyConst, TyLam, TyVar, Unit, Var, Y,
-    all_free_names, fresh, instantiate_rel, instantiate_tm, instantiate_ty,
-    shift, uses_bound_tm,
+    RelBound, Relation, RelVar, Star, Tensor, TensorPair, Term, Top, TyBound,
+    Type, TypeRel, TyApp, TyConst, TyLam, TyVar, Unit, Var, Y,
+    all_free_names, fresh, uses_bound_tm,
 )
 
 # precedence levels; a node prints bare when its level >= the requested one
+# (types reuse them: binders 0, -o/-> at 1, * at 2, ! at 3, atoms at 4)
 _BIND, _TENSOR, _APP, _BANG, _ATOM = 0, 1, 2, 3, 4
+_PBIND, _PIMP, _POR, _PAND, _PATOM = 0, 1, 2, 3, 4
+_TY, _TM, _REL = 0, 1, 2  # namespaces, as in syntax
+# each connective's symbol, level, and left and right operand levels
+_CONNECTIVES = {Implies: ("=>", _PIMP, _POR, _PIMP),
+                Or: ("\\/", _POR, _POR, _PAND),
+                And: ("/\\", _PAND, _PAND, _PATOM)}
 
 
 def _wrap(s: str, level: int, prec: int) -> str:
     return s if level >= prec else f"({s})"
 
 
-# ---------------------------------------------------------------------------
-# Types
+class _Printer:
+    """One printing of one root.  `avoid` holds the root's free names and
+    the names of the binders in scope, `names[ns]` the names of namespace
+    ns's binders in scope, innermost last.  A binder case prints what lies
+    outside its scope, then pushes, prints its body and pops in one frame."""
+
+    def __init__(self, root: Node, sugar: bool):
+        self.avoid = set(all_free_names(root))
+        self.names: tuple[list, list, list] = ([], [], [])
+        self.sugar = sugar
+
+    def push(self, ns: int, hint: str) -> str:
+        n = fresh(hint, self.avoid)
+        self.avoid.add(n)
+        self.names[ns].append(n)
+        return n
+
+    def pop(self, ns: int, s: str, count: int = 1) -> str:
+        """Close the scope `s` was printed in: pop `count` names of ns."""
+        for _ in range(count):
+            self.avoid.discard(self.names[ns].pop())
+        return s
+
+    def bound(self, ns: int, k: int) -> str:
+        names = self.names[ns]
+        if k < len(names):
+            return names[-1 - k]
+        if ns == _REL:  # shown with its index counted from the root
+            return f"<?rel {RelBound(k - len(names))!r}>"
+        kind = "type " if ns == _TY else ""
+        raise ValueError(f"dangling {kind}index while printing")
+
+    def ty(self, t: Type, prec: int) -> str:
+        if isinstance(t, TyVar):
+            return t.name
+        if isinstance(t, TyBound):
+            return self.bound(_TY, t.index)
+        if isinstance(t, Unit):
+            return "I"
+        if isinstance(t, Forall):
+            n = self.push(_TY, t.hint)
+            s = self.pop(_TY, f"all {n}. {self.ty(t.body, 0)}")
+            return _wrap(s, _BIND, prec)
+        if isinstance(t, Lolli):
+            arrow = self.sugar and isinstance(t.dom, Bang)
+            dom = self.ty(t.dom.body if arrow else t.dom, _APP)
+            s = f"{dom} {'->' if arrow else '-o'} {self.ty(t.cod, _TENSOR)}"
+            return _wrap(s, _TENSOR, prec)
+        if isinstance(t, Tensor):
+            s = f"{self.ty(t.left, _APP)} * {self.ty(t.right, _BANG)}"
+            return _wrap(s, _APP, prec)
+        if isinstance(t, Bang):
+            return f"!{self.ty(t.body, _ATOM)}"
+        if isinstance(t, TyConst):
+            args = "".join([f" {self.ty(a, _ATOM)}" for a in t.args])
+            return f"({t.name}{args})" if args else t.name
+        return f"<?ty {t!r}>"
+
+    def tm(self, t: Term, prec: int) -> str:
+        if isinstance(t, Var):
+            return t.name
+        if isinstance(t, Bound):
+            return self.bound(_TM, t.index)
+        if isinstance(t, Star):
+            return "<>"
+        if isinstance(t, Y):
+            return "Y"
+        if isinstance(t, LinLam):
+            s = self.lam_sugar(t) if self.sugar else None
+            if s is None:
+                ty = self.ty(t.ty, 0)
+                n = self.push(_TM, t.hint)
+                s = self.pop(_TM, f"fn {n}:{ty}. {self.tm(t.body, 0)}")
+            return _wrap(s, _BIND, prec)
+        if isinstance(t, TyLam):
+            n = self.push(_TY, t.hint)
+            s = self.pop(_TY, f"/\\{n}. {self.tm(t.body, 0)}")
+            return _wrap(s, _BIND, prec)
+        if isinstance(t, App):
+            s = f"{self.tm(t.fn, _APP)} {self.tm(t.arg, _BANG)}"
+            return _wrap(s, _APP, prec)
+        if isinstance(t, TyApp):
+            s = f"{self.tm(t.fn, _APP)} [{self.ty(t.ty, 0)}]"
+            return _wrap(s, _APP, prec)
+        if isinstance(t, TensorPair):
+            s = f"{self.tm(t.left, _TENSOR)} (*) {self.tm(t.right, _APP)}"
+            return _wrap(s, _TENSOR, prec)
+        if isinstance(t, BangIntro):
+            return f"!{self.tm(t.body, _ATOM)}"
+        if isinstance(t, LetStar):
+            s = f"let <> = {self.tm(t.scrut, 0)} in {self.tm(t.body, 0)}"
+            return _wrap(s, _BIND, prec)
+        if isinstance(t, LetTensor):
+            ann = (f" : {self.ty(Tensor(t.tyx, t.tyy), 0)}"
+                   if t.tyx is not None and t.tyy is not None else "")
+            scrut = self.tm(t.scrut, 0)
+            x, y = self.push(_TM, t.hintx), self.push(_TM, t.hinty)
+            s = self.pop(_TM, f"let {x} (*) {y}{ann} = {scrut} in "
+                              f"{self.tm(t.body, 0)}", 2)
+            return _wrap(s, _BIND, prec)
+        if isinstance(t, LetBang):
+            ann = f" : {self.ty(t.ty, 0)}" if t.ty is not None else ""
+            scrut = self.tm(t.scrut, 0)
+            x = self.push(_TM, t.hint)
+            s = self.pop(_TM, f"let !{x}{ann} = {scrut} in "
+                              f"{self.tm(t.body, 0)}")
+            return _wrap(s, _BIND, prec)
+        return f"<?tm {t!r}>"
+
+    def lam_sugar(self, t: LinLam) -> str | None:
+        """Fold fn y:!s. let !x = y in b (y unused in b) into lam x:s. b."""
+        inner = t.body
+        if not (isinstance(t.ty, Bang) and isinstance(inner, LetBang)
+                and inner.scrut == Bound(0)
+                and (inner.ty is None or inner.ty == t.ty.body)
+                and not uses_bound_tm(inner.body, 1)):
+            return None
+        ty = self.ty(t.ty.body, 0)
+        self.names[_TM].append(None)  # y, which b does not use
+        x = self.push(_TM, inner.hint)
+        return self.pop(_TM, f"lam {x}:{ty}. {self.tm(inner.body, 0)}", 2)
+
+    def rel(self, r: Relation, atom: bool) -> str:
+        if isinstance(r, RelVar):
+            return r.name
+        if isinstance(r, RelBound):
+            return self.bound(_REL, r.index)
+        if isinstance(r, Compr):
+            tyx, tyy = self.ty(r.tyx, 0), self.ty(r.tyy, 0)
+            x, y = self.push(_TM, r.hintx), self.push(_TM, r.hinty)
+            s = self.pop(_TM, f"({x}:{tyx}, {y}:{tyy}). "
+                              f"{self.prop(r.body, 0)}", 2)
+            return f"({s})" if atom else s
+        if isinstance(r, TypeRel):
+            args = ", ".join([self.rel(a, False) for a in r.args])
+            for h in r.hints:
+                self.push(_TY, h)
+            body = self.ty(r.body, _APP)
+            return f"{self.pop(_TY, body, len(r.hints))}[{args}]"
+        return f"<?rel {r!r}>"
+
+    def prop(self, p: Proposition, prec: int) -> str:
+        if isinstance(p, (Top, Bottom)):
+            return "T" if isinstance(p, Top) else "F"
+        if isinstance(p, InternalEq):
+            s = (f"{self.tm(p.lhs, _TENSOR)} =_{{{self.ty(p.ty, 0)}}} "
+                 f"{self.tm(p.rhs, _TENSOR)}")
+            return _wrap(s, _PATOM, prec)
+        if isinstance(p, RelApp):
+            return (f"{self.rel(p.rel, True)}({self.tm(p.lhs, 0)}, "
+                    f"{self.tm(p.rhs, 0)})")
+        if isinstance(p, (Implies, Or, And)):
+            op, level, left, right = _CONNECTIVES[type(p)]
+            s = f"{self.prop(p.left, left)} {op} {self.prop(p.right, right)}"
+            return _wrap(s, level, prec)
+        if isinstance(p, (ForallTy, ExistsTy)):
+            ns, sort = _TY, ""
+        elif isinstance(p, (ForallTm, ExistsTm)):
+            ns, sort = _TM, f":{self.ty(p.ty, 0)}"
+        elif isinstance(p, (ForallRel, ExistsRel)):
+            ns, sort = _REL, (f" : {p.flavor.value}({self.ty(p.dom, 0)}, "
+                              f"{self.ty(p.cod, 0)})")
+        else:
+            return f"<?prop {p!r}>"
+        kw = "all" if isinstance(p, (ForallTy, ForallTm, ForallRel)) else "ex"
+        n = self.push(ns, p.hint)
+        s = self.pop(ns, f"{kw} {n}{sort}. {self.prop(p.body, 0)}")
+        return _wrap(s, _PBIND, prec)
 
 
 def print_type(t: Type, sugar: bool = False) -> str:
-    return _ty(t, 0, set(all_free_names(t)), sugar)
-
-
-def _ty(t: Type, prec: int, avoid: set[str], sugar: bool) -> str:
-    if isinstance(t, TyVar):
-        return t.name
-    if isinstance(t, Unit):
-        return "I"
-    if isinstance(t, Forall):
-        n = fresh(t.hint, avoid)
-        body = instantiate_ty(t.body, TyVar(n))
-        s = f"all {n}. {_ty(body, 0, avoid | {n}, sugar)}"
-        return _wrap(s, _BIND, prec)
-    if isinstance(t, Lolli):
-        if sugar and isinstance(t.dom, Bang):
-            s = f"{_ty(t.dom.body, _APP, avoid, sugar)} -> {_ty(t.cod, _TENSOR, avoid, sugar)}"
-        else:
-            s = f"{_ty(t.dom, _APP, avoid, sugar)} -o {_ty(t.cod, _TENSOR, avoid, sugar)}"
-        return _wrap(s, _TENSOR, prec)
-    if isinstance(t, Tensor):
-        s = f"{_ty(t.left, _APP, avoid, sugar)} * {_ty(t.right, _BANG, avoid, sugar)}"
-        return _wrap(s, _APP, prec)
-    if isinstance(t, Bang):
-        return f"!{_ty(t.body, _ATOM, avoid, sugar)}"
-    if isinstance(t, TyConst):
-        if not t.args:
-            return t.name
-        inner = " ".join([t.name] + [_ty(a, _ATOM, avoid, sugar) for a in t.args])
-        return f"({inner})"
-    if isinstance(t, TyBound):
-        raise ValueError("dangling type index while printing")
-    return f"<?ty {t!r}>"
-
-
-# Type levels reuse the term constants: binders 0, -o/-> at 1, * at 2,
-# ! at 3, atoms at 4.
-
-
-# ---------------------------------------------------------------------------
-# Terms
+    return _Printer(t, sugar).ty(t, 0)
 
 
 def print_term(t: Term, sugar: bool = False) -> str:
-    return _tm(t, 0, set(all_free_names(t)), sugar)
-
-
-def _tm(t: Term, prec: int, avoid: set[str], sugar: bool) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Star):
-        return "<>"
-    if isinstance(t, Y):
-        return "Y"
-    if isinstance(t, LinLam):
-        if sugar:
-            folded = _try_lam_sugar(t, avoid, sugar)
-            if folded is not None:
-                return _wrap(folded, _BIND, prec)
-        n = fresh(t.hint, avoid)
-        body = instantiate_tm(t.body, Var(n))
-        s = f"fn {n}:{_ty(t.ty, 0, avoid, sugar)}. {_tm(body, 0, avoid | {n}, sugar)}"
-        return _wrap(s, _BIND, prec)
-    if isinstance(t, TyLam):
-        n = fresh(t.hint, avoid)
-        body = instantiate_ty(t.body, TyVar(n))
-        s = f"/\\{n}. {_tm(body, 0, avoid | {n}, sugar)}"
-        return _wrap(s, _BIND, prec)
-    if isinstance(t, App):
-        s = f"{_tm(t.fn, _APP, avoid, sugar)} {_tm(t.arg, _BANG, avoid, sugar)}"
-        return _wrap(s, _APP, prec)
-    if isinstance(t, TyApp):
-        s = f"{_tm(t.fn, _APP, avoid, sugar)} [{_ty(t.ty, 0, avoid, sugar)}]"
-        return _wrap(s, _APP, prec)
-    if isinstance(t, TensorPair):
-        s = f"{_tm(t.left, _TENSOR, avoid, sugar)} (*) {_tm(t.right, _APP, avoid, sugar)}"
-        return _wrap(s, _TENSOR, prec)
-    if isinstance(t, BangIntro):
-        return f"!{_tm(t.body, _ATOM, avoid, sugar)}"
-    if isinstance(t, LetStar):
-        s = (f"let <> = {_tm(t.scrut, 0, avoid, sugar)} in "
-             f"{_tm(t.body, 0, avoid, sugar)}")
-        return _wrap(s, _BIND, prec)
-    if isinstance(t, LetTensor):
-        x = fresh(t.hintx, avoid)
-        y = fresh(t.hinty, avoid | {x})
-        body = instantiate_tm(t.body, Var(x), Var(y))
-        ann = ""
-        if t.tyx is not None and t.tyy is not None:
-            ann = f" : {_ty(Tensor(t.tyx, t.tyy), 0, avoid, sugar)}"
-        s = (f"let {x} (*) {y}{ann} = {_tm(t.scrut, 0, avoid, sugar)} in "
-             f"{_tm(body, 0, avoid | {x, y}, sugar)}")
-        return _wrap(s, _BIND, prec)
-    if isinstance(t, LetBang):
-        x = fresh(t.hint, avoid)
-        body = instantiate_tm(t.body, Var(x))
-        ann = f" : {_ty(t.ty, 0, avoid, sugar)}" if t.ty is not None else ""
-        s = (f"let !{x}{ann} = {_tm(t.scrut, 0, avoid, sugar)} in "
-             f"{_tm(body, 0, avoid | {x}, sugar)}")
-        return _wrap(s, _BIND, prec)
-    if isinstance(t, Bound):
-        raise ValueError("dangling index while printing")
-    return f"<?tm {t!r}>"
-
-
-def _try_lam_sugar(t: LinLam, avoid: set[str], sugar: bool) -> str | None:
-    """Fold fn y:!s. let !x = y in b (y unused in b) into lam x:s. b."""
-    if not isinstance(t.ty, Bang):
-        return None
-    inner = t.body
-    if not (isinstance(inner, LetBang) and inner.scrut == Bound(0)):
-        return None
-    if inner.ty is not None and inner.ty != t.ty.body:
-        return None
-    if uses_bound_tm(inner.body, 1):
-        return None
-    x = fresh(inner.hint, avoid)
-    body = instantiate_tm(inner.body, Var(x))
-    body = shift(body, tm_by=-1)
-    return f"lam {x}:{_ty(t.ty.body, 0, avoid, sugar)}. {_tm(body, 0, avoid | {x}, sugar)}"
-
-
-# ---------------------------------------------------------------------------
-# Relations
+    return _Printer(t, sugar).tm(t, 0)
 
 
 def print_rel(r: Relation, sugar: bool = False) -> str:
-    return _rel(r, set(all_free_names(r)), sugar, atom=False)
-
-
-def _rel(r: Relation, avoid: set[str], sugar: bool, atom: bool) -> str:
-    if isinstance(r, RelVar):
-        return r.name
-    if isinstance(r, Compr):
-        x = fresh(r.hintx, avoid)
-        y = fresh(r.hinty, avoid | {x})
-        body = instantiate_tm(r.body, Var(x), Var(y))
-        s = (f"({x}:{_ty(r.tyx, 0, avoid, sugar)}, {y}:{_ty(r.tyy, 0, avoid, sugar)})."
-             f" {_prop(body, 0, avoid | {x, y}, sugar)}")
-        return f"({s})" if atom else s
-    if isinstance(r, TypeRel):
-        names = []
-        av = set(avoid)
-        for h in r.hints:
-            n = fresh(h, av)
-            av.add(n)
-            names.append(n)
-        body = instantiate_ty(r.body, *[TyVar(n) for n in names])
-        args = ", ".join(_rel(a, avoid, sugar, atom=False) for a in r.args)
-        return f"{_ty(body, _APP, av, sugar)}[{args}]"
-    return f"<?rel {r!r}>"
-
-
-# ---------------------------------------------------------------------------
-# Propositions
-
-_PBIND, _PIMP, _POR, _PAND, _PATOM = 0, 1, 2, 3, 4
+    return _Printer(r, sugar).rel(r, False)
 
 
 def print_prop(p: Proposition, sugar: bool = False) -> str:
-    return _prop(p, 0, set(all_free_names(p)), sugar)
-
-
-def _prop(p: Proposition, prec: int, avoid: set[str], sugar: bool) -> str:
-    if isinstance(p, Top):
-        return "T"
-    if isinstance(p, Bottom):
-        return "F"
-    if isinstance(p, InternalEq):
-        s = (f"{_tm(p.lhs, _TENSOR, avoid, sugar)} =_{{{_ty(p.ty, 0, avoid, sugar)}}} "
-             f"{_tm(p.rhs, _TENSOR, avoid, sugar)}")
-        return _wrap(s, _PATOM, prec)
-    if isinstance(p, RelApp):
-        rel = _rel(p.rel, avoid, sugar, atom=True)
-        return (f"{rel}({_tm(p.lhs, 0, avoid, sugar)}, "
-                f"{_tm(p.rhs, 0, avoid, sugar)})")
-    if isinstance(p, Implies):
-        s = (f"{_prop(p.left, _POR, avoid, sugar)} => "
-             f"{_prop(p.right, _PIMP, avoid, sugar)}")
-        return _wrap(s, _PIMP, prec)
-    if isinstance(p, Or):
-        s = (f"{_prop(p.left, _POR, avoid, sugar)} \\/ "
-             f"{_prop(p.right, _PAND, avoid, sugar)}")
-        return _wrap(s, _POR, prec)
-    if isinstance(p, And):
-        s = (f"{_prop(p.left, _PAND, avoid, sugar)} /\\ "
-             f"{_prop(p.right, _PATOM, avoid, sugar)}")
-        return _wrap(s, _PAND, prec)
-    if isinstance(p, (ForallTy, ExistsTy)):
-        kw = "all" if isinstance(p, ForallTy) else "ex"
-        n = fresh(p.hint, avoid)
-        body = instantiate_ty(p.body, TyVar(n))
-        s = f"{kw} {n}. {_prop(body, 0, avoid | {n}, sugar)}"
-        return _wrap(s, _PBIND, prec)
-    if isinstance(p, (ForallTm, ExistsTm)):
-        kw = "all" if isinstance(p, ForallTm) else "ex"
-        n = fresh(p.hint, avoid)
-        body = instantiate_tm(p.body, Var(n))
-        s = f"{kw} {n}:{_ty(p.ty, 0, avoid, sugar)}. {_prop(body, 0, avoid | {n}, sugar)}"
-        return _wrap(s, _PBIND, prec)
-    if isinstance(p, (ForallRel, ExistsRel)):
-        kw = "all" if isinstance(p, ForallRel) else "ex"
-        n = fresh(p.hint, avoid)
-        body = instantiate_rel(p.body, RelVar(n, p.dom, p.cod, p.flavor))
-        s = (f"{kw} {n} : {p.flavor.value}({_ty(p.dom, 0, avoid, sugar)}, "
-             f"{_ty(p.cod, 0, avoid, sugar)}). {_prop(body, 0, avoid | {n}, sugar)}")
-        return _wrap(s, _PBIND, prec)
-    return f"<?prop {p!r}>"
+    return _Printer(p, sugar).prop(p, 0)
 
 
 def pp(n: Node, sugar: bool = False) -> str:
-    if isinstance(n, Type):
-        return print_type(n, sugar)
-    if isinstance(n, Term):
-        return print_term(n, sugar)
-    if isinstance(n, Relation):
-        return print_rel(n, sugar)
-    return print_prop(n, sugar)
+    printer = (print_type if isinstance(n, Type) else
+               print_term if isinstance(n, Term) else
+               print_rel if isinstance(n, Relation) else print_prop)
+    return printer(n, sugar)

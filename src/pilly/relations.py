@@ -198,20 +198,9 @@ def eq_rel(ty: Type) -> Compr:
     return graph_rel(S.id_at(ty), ty, ty)
 
 
-def reindex(rel: Relation, f: S.Term, g: S.Term,
-            dom: Type | None = None, cod: Type | None = None,
-            ctx: TermContext | None = None) -> Compr:
-    """(f,g)* rel = (x:dom, y:cod). rel(f x, g y).
-
-    dom and cod default to the domains of f's and g's inferred types.
-    """
-    if dom is None or cod is None:
-        fty = infer_type(ctx or TermContext(), f).ty
-        gty = infer_type(ctx or TermContext(), g).ty
-        if not isinstance(fty, S.Lolli) or not isinstance(gty, S.Lolli):
-            raise FormationError("reindexing maps must be linear functions")
-        dom = fty.dom if dom is None else dom
-        cod = gty.dom if cod is None else cod
+def reindex(rel: Relation, f: S.Term, g: S.Term, dom: Type,
+            cod: Type) -> Compr:
+    """(f,g)* rel = (x:dom, y:cod). rel(f x, g y)."""
     x, y = fresh_many(["x", "y"], S.all_free_names(f) | S.all_free_names(g))
     return prop_beta(compr(x, dom, y, cod,
                           RelApp(rel, S.App(f, S.Var(x)), S.App(g, S.Var(y)))))
@@ -471,19 +460,18 @@ def _derive_body(x: str, tyx: Type, y: str, tyy: Type,
                 else "forall-relation")
         return Derivation(kind, rn, [inner])
     if isinstance(body, InternalEq):
-        return _derive_relapp(x, tyx, y, tyy, eq_rel(body.ty),
-                              body.lhs, body.rhs, env,
-                              leaf=Derivation("equality", print_type(body.ty)))
+        return _derive_relapp(x, tyx, y, tyy, body.lhs, body.rhs, env,
+                              Derivation("equality", print_type(body.ty)))
     if isinstance(body, RelApp):
-        return _derive_relapp(x, tyx, y, tyy, body.rel, body.lhs, body.rhs,
-                              env, leaf=None)
+        return _derive_relapp(x, tyx, y, tyy, body.lhs, body.rhs, env,
+                              _derive(body.rel, env))
     return None
 
 
-def _derive_relapp(x, tyx, y, tyy, rel, lhs, rhs, env,
-                   leaf: Derivation | None) -> Derivation | None:
+def _derive_relapp(x, tyx, y, tyy, lhs, rhs, env,
+                   inner: Derivation | None) -> Derivation | None:
+    """A relation application's derivation, given its relation's."""
     xi, gamma, theta = env
-    inner = leaf if leaf is not None else _derive(rel, env)
     if inner is None:
         return None
     if lhs == S.Var(x) and rhs == S.Var(y):

@@ -902,8 +902,8 @@ def fresh_many(bases: Sequence[str], avoid: Iterable[str]) -> list[str]:
 # through these.
 
 
-def forall(name: str, body: Type, span: Optional[Span] = None) -> Forall:
-    return Forall(name, close_ty(body, name), span)
+def forall(name: str, body: Type) -> Forall:
+    return Forall(name, close_ty(body, name))
 
 
 def foralls(names: Sequence[str], body: Type) -> Type:
@@ -912,12 +912,12 @@ def foralls(names: Sequence[str], body: Type) -> Type:
     return body
 
 
-def lin_lam(name: str, ty: Type, body: Term, span: Optional[Span] = None) -> LinLam:
-    return LinLam(name, ty, close_tm(body, name), span)
+def lin_lam(name: str, ty: Type, body: Term) -> LinLam:
+    return LinLam(name, ty, close_tm(body, name))
 
 
-def ty_lam(name: str, body: Term, span: Optional[Span] = None) -> TyLam:
-    return TyLam(name, close_ty(body, name), span)
+def ty_lam(name: str, body: Term) -> TyLam:
+    return TyLam(name, close_ty(body, name))
 
 
 def ty_lams(names: Sequence[str], body: Term) -> Term:
@@ -927,22 +927,20 @@ def ty_lams(names: Sequence[str], body: Term) -> Term:
 
 
 def let_tensor(x: str, y: str, tyx: Optional[Type], tyy: Optional[Type],
-               scrut: Term, body: Term, span: Optional[Span] = None) -> LetTensor:
-    return LetTensor(x, y, tyx, tyy, scrut, close_tm(body, x, y), span)
+               scrut: Term, body: Term) -> LetTensor:
+    return LetTensor(x, y, tyx, tyy, scrut, close_tm(body, x, y))
 
 
-def let_bang(x: str, ty: Optional[Type], scrut: Term, body: Term,
-             span: Optional[Span] = None) -> LetBang:
-    return LetBang(x, ty, scrut, close_tm(body, x), span)
+def let_bang(x: str, ty: Optional[Type], scrut: Term, body: Term) -> LetBang:
+    return LetBang(x, ty, scrut, close_tm(body, x))
 
 
-def compr(x: str, tyx: Type, y: str, tyy: Type, body: Proposition,
-          span: Optional[Span] = None) -> Compr:
-    return Compr(x, y, tyx, tyy, close_tm(body, x, y), span)
+def compr(x: str, tyx: Type, y: str, tyy: Type, body: Proposition) -> Compr:
+    return Compr(x, y, tyx, tyy, close_tm(body, x, y))
 
 
-def type_rel(names: Sequence[str], ty: Type, args: Sequence[Relation],
-             span: Optional[Span] = None) -> TypeRel:
+def type_rel(names: Sequence[str], ty: Type,
+             args: Sequence[Relation]) -> TypeRel:
     """Build a relational-interpretation node, normalizing slot order.
 
     Slots are reordered to first occurrence in `ty` and vacuous slots are
@@ -955,7 +953,7 @@ def type_rel(names: Sequence[str], ty: Type, args: Sequence[Relation],
     pairs.sort(key=lambda p: occ.index(p[0]))
     names2 = [n for n, _ in pairs]
     body = close_ty(ty, *names2)
-    return TypeRel(tuple(names2), body, tuple(a for _, a in pairs), span)
+    return TypeRel(tuple(names2), body, tuple(a for _, a in pairs))
 
 
 def forall_ty_p(name: str, body: Proposition) -> ForallTy:
@@ -1001,10 +999,6 @@ def open_compr(r: Compr, avoid: Iterable[str]) -> tuple[str, str, Proposition]:
 # Term builders
 
 
-def v(name: str) -> Var:
-    return Var(name)
-
-
 def app(fn: Term, *args: Term) -> Term:
     for a in args:
         fn = App(fn, a)
@@ -1041,9 +1035,9 @@ def lam_int(name: str, ty: Type, body: Term) -> Term:
     return lin_lam(carrier, Bang(ty), let_bang(name, ty, Var(carrier), body))
 
 
-def compose(f: Term, g: Term, dom: Type, name: str = "x") -> Term:
+def compose(f: Term, g: Term, dom: Type) -> Term:
     """fn x:dom. f (g x)."""
-    n = fresh(name, all_free_names(f) | all_free_names(g))
+    n = fresh("x", all_free_names(f) | all_free_names(g))
     return lin_lam(n, dom, App(f, App(g, Var(n))))
 
 
