@@ -72,7 +72,7 @@ class Config:
     y_unroll: int = 0
     strict: bool = False
     json_out: bool = False
-    catalog: str | None = None
+    catalog: str = ""
 
     def rewrite(self) -> RewriteConfig:
         return RewriteConfig(fuel=self.fuel, y_unroll=self.y_unroll)
@@ -102,7 +102,8 @@ def _setting(file_cfg: dict, key: str, default):
     """The config file's `key`, which must have the type of `default`."""
     val = file_cfg.get(key, default)
     if type(val) is not type(default):
-        want = "true or false" if type(default) is bool else "an integer"
+        want = {bool: "true or false", int: "an integer",
+                str: "a path"}[type(default)]
         raise ValueError(f"{key} must be {want}, got {val!r}")
     return val
 
@@ -140,7 +141,8 @@ def elaborate_file(text: str, target: str, cfg: Config,
                    ) -> Elaborated | None:
     src, diags = P.parse_file(text)
     for d in diags:
-        report.add(ReportEntry(target, "parse", "error", d.render(text)))
+        report.add(ReportEntry(target, "parse", "error",
+                               "error: " + _locate(text, d)))
     if diags:
         return None
     elab = Elaborated(src.signature)
@@ -483,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.fuel = _setting(file_cfg, "fuel", cfg.fuel)
             cfg.y_unroll = _setting(file_cfg, "y_unroll", cfg.y_unroll)
             cfg.strict = _setting(file_cfg, "strict", cfg.strict)
-            cfg.catalog = file_cfg.get("catalog", cfg.catalog)
+            cfg.catalog = _setting(file_cfg, "catalog", cfg.catalog)
         if args.fuel is not None:
             cfg.fuel = args.fuel
         if args.y_unroll is not None:

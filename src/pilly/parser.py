@@ -57,20 +57,6 @@ class Tok(NamedTuple):
         return Span(self.start, self.end)
 
 
-@dataclass
-class Diagnostic:
-    message: str
-    span: Span
-
-    def render(self, text: str | None = None) -> str:
-        loc = f"{self.span.start}..{self.span.end}"
-        if text is not None:
-            line = text.count("\n", 0, self.span.start) + 1
-            col = self.span.start - (text.rfind("\n", 0, self.span.start) + 1) + 1
-            loc = f"{line}:{col}"
-        return f"error: {loc}: {self.message}"
-
-
 class ParseError(Exception):
     def __init__(self, message: str, span: Span):
         super().__init__(message)
@@ -760,14 +746,14 @@ _DECL_STARTS = {"term", "type", "rel"}
 
 
 def parse_file(text: str, sig: Signature | None = None
-               ) -> tuple[SourceFile, list[Diagnostic]]:
+               ) -> tuple[SourceFile, list[ParseError]]:
     """Parse a source file; resynchronizes at declaration boundaries."""
-    diags: list[Diagnostic] = []
+    diags: list[ParseError] = []
     sig = sig or Signature()
     try:
         toks = tokenize(text)
     except ParseError as e:
-        return SourceFile([], sig), [Diagnostic(e.message, e.span)]
+        return SourceFile([], sig), [e]
     p = Parser(toks, sig)
     decls: list[Decl] = []
     seen: set[str] = set()
@@ -777,7 +763,7 @@ def parse_file(text: str, sig: Signature | None = None
             d = p.parse("decl")
             if isinstance(d, (TypeDecl, TermDecl, RelDecl)):
                 if d.name in seen:
-                    diags.append(Diagnostic(
+                    diags.append(ParseError(
                         f"duplicate declaration of {d.name!r}", d.span))
                     continue
                 seen.add(d.name)
@@ -791,7 +777,7 @@ def parse_file(text: str, sig: Signature | None = None
                     sig.rels[d.name] = (dom, cod, Flavor.REL, d.body)
             decls.append(d)
         except ParseError as e:
-            diags.append(Diagnostic(e.message, e.span))
+            diags.append(e)
             # statement-level resync: skip to the next declaration keyword
             if p.pos == start_pos:
                 p.next()
@@ -803,9 +789,9 @@ def parse_file(text: str, sig: Signature | None = None
     return SourceFile(decls, sig), diags
 
 
-def _parse_entire(text: str, sig: Signature | None, production: str):
-    toks = tokenize(text)
-    p = Parser(toks, sig)
+def _parse_entire(text: str, sig: Signature | None, production: str,
+                  extended_types: bool = False):
+    p = Parser(tokenize(text), sig, extended_types)
     node = p.parse(production)
     if not p.at("eof"):
         t = p.peek()
@@ -819,13 +805,7 @@ def parse_type(text: str, sig: Signature | None = None) -> S.Type:
 
 def parse_encode_type(text: str) -> S.Type:
     """Type parser for encode arguments: also accepts s + t, 0, 1 and N."""
-    toks = tokenize(text)
-    p = Parser(toks, None, extended_types=True)
-    node = p.parse("type_")
-    if not p.at("eof"):
-        t = p.peek()
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.span)
-    return node
+    return _parse_entire(text, None, "type_", extended_types=True)
 
 
 def parse_term(text: str, sig: Signature | None = None) -> S.Term:

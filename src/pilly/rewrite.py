@@ -6,10 +6,11 @@ node's linear child positions; otherwise recurse left to right.  `step`
 defines it, one leftmost-outermost step at a time.  `normalize` makes
 the same contractions in the same order but resumes in place after each
 one instead of searching again from the root, and its fuel counts those
-leftmost-outermost steps.  Let hoisting never crosses a binder or a
-'!', so no scope side conditions arise.  Unrolling the fixed-point
-combinator is a separate operation that `equal` may spend an explicit
-budget on; `normalize` never unrolls.
+leftmost-outermost steps.  Let hoisting is one rule over `_HOIST`, a
+table of positions built from `syntax.CHILDREN`; it never crosses a
+binder or a '!', so no scope side conditions arise.  Unrolling the
+fixed-point combinator is a separate operation that `equal` may spend an
+explicit budget on; `normalize` never unrolls.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .syntax import (CHILDREN, App, BangIntro, Bound, LetBang, LetStar,
                      LetTensor, LinLam, Star, TensorPair, Term, TyApp, TyBound,
                      TyLam, Var, Y, instantiate_tm, instantiate_ty, rebuild,
-                     shift, uses_bound_tm, uses_bound_ty)
+                     shift, subnodes, uses_bound_tm, uses_bound_ty)
 
 
 @dataclass
@@ -96,58 +97,34 @@ def _eta(t: Term) -> Term | None:
     return None
 
 
-def _rewrap_let(let_: Term, new_inner: Term) -> Term:
-    """Rebuild the hoisted let with `new_inner` as its body."""
-    return rebuild(let_, {"body": new_inner})
+# The term binders each let-form's body sits under.
+_LET_K = {cls: tm for cls in (LetStar, LetTensor, LetBang)
+          for name, _, _, tm, _ in CHILDREN[cls] if name == "body"}
 
-
-def _let_binders(t: Term) -> int:
-    if isinstance(t, LetStar):
-        return 0
-    if isinstance(t, LetTensor):
-        return 2
-    return 1
-
-
-_LETS = (LetStar, LetTensor, LetBang)
+# The linear, binder-free positions a let is hoisted out of, in the order
+# they are tried; each with the parent's other term children and the
+# term binders each sits under, its shift cutoff.
+_HOIST = {cls: tuple((pos, tuple((name, tm) for name, sort, _, tm, _
+                                 in CHILDREN[cls]
+                                 if sort is Term and name != pos))
+                     for pos in positions)
+          for cls, *positions in ((App, "fn", "arg"), (TyApp, "fn"),
+                                  (TensorPair, "left", "right"),
+                                  *((let, "scrut") for let in _LET_K))}
 
 
 def _hoist(t: Term) -> Term | None:
-    """Pull a let-form out of a linear, binder-free child position."""
-    if isinstance(t, App):
-        if isinstance(t.fn, _LETS):
-            k = _let_binders(t.fn)
-            return _rewrap_let(t.fn, App(t.fn.body, shift(t.arg, tm_by=k)))
-        if isinstance(t.arg, _LETS):
-            k = _let_binders(t.arg)
-            return _rewrap_let(t.arg, App(shift(t.fn, tm_by=k), t.arg.body))
-        return None
-    if isinstance(t, TyApp) and isinstance(t.fn, _LETS):
-        return _rewrap_let(t.fn, TyApp(t.fn.body, t.ty))
-    if isinstance(t, TensorPair):
-        if isinstance(t.left, _LETS):
-            k = _let_binders(t.left)
-            return _rewrap_let(
-                t.left, TensorPair(t.left.body, shift(t.right, tm_by=k)))
-        if isinstance(t.right, _LETS):
-            k = _let_binders(t.right)
-            return _rewrap_let(
-                t.right, TensorPair(shift(t.left, tm_by=k), t.right.body))
-        return None
-    if isinstance(t, LetStar) and isinstance(t.scrut, _LETS):
-        k = _let_binders(t.scrut)
-        return _rewrap_let(
-            t.scrut, LetStar(t.scrut.body, shift(t.body, tm_by=k)))
-    if isinstance(t, LetTensor) and isinstance(t.scrut, _LETS):
-        k = _let_binders(t.scrut)
-        inner = LetTensor(t.hintx, t.hinty, t.tyx, t.tyy, t.scrut.body,
-                          shift(t.body, tm_by=k, md=2))
-        return _rewrap_let(t.scrut, inner)
-    if isinstance(t, LetBang) and isinstance(t.scrut, _LETS):
-        k = _let_binders(t.scrut)
-        inner = LetBang(t.hint, t.ty, t.scrut.body,
-                        shift(t.body, tm_by=k, md=1))
-        return _rewrap_let(t.scrut, inner)
+    """Pull a let out of the first position that holds one: its body takes
+    that place, the parent's other term children move under its binders,
+    and the rebuilt parent becomes its body."""
+    for pos, siblings in _HOIST.get(type(t), ()):
+        let_ = getattr(t, pos)
+        k = _LET_K.get(type(let_))
+        if k is not None:
+            changes = {name: shift(getattr(t, name), tm_by=k, md=md)
+                       for name, md in siblings}
+            changes[pos] = let_.body
+            return rebuild(let_, {"body": rebuild(t, changes)})
     return None
 
 
@@ -173,16 +150,6 @@ def _first(t: Term, rewrite) -> Term | None:
         if c is not None:
             return _with_child(t, i, c)
     return None
-
-
-def _any(t: Term, pred) -> bool:
-    """Whether some subterm satisfies `pred`."""
-    if pred(t):
-        return True
-    for name in _KIDS.get(type(t), ()):
-        if _any(getattr(t, name), pred):
-            return True
-    return False
 
 
 # Classes none of whose nodes is a redex.
@@ -321,11 +288,11 @@ def unroll_y(t: Term) -> Term:
 
 
 def _contains_y(t: Term) -> bool:
-    return _any(t, lambda x: isinstance(x, Y))
+    return any(type(x) is Y for x in subnodes(t))
 
 
 def _has_y_redex(t: Term) -> bool:
-    return _any(t, _is_y_redex)
+    return any(map(_is_y_redex, subnodes(t)))
 
 
 def equal(a: Term, b: Term, cfg: RewriteConfig | None = None,

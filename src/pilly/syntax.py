@@ -4,19 +4,22 @@ Four syntactic categories: types, terms, relations and propositions.
 Bound variables are nameless (de Bruijn indices, one counter per
 namespace: type variables, term variables, relation variables); free
 variables are named.  Binder nodes keep the surface name as a hint that
-is excluded from equality, so dataclass `==` is alpha-equivalence.
+is excluded from equality, so dataclass `==` is alpha-equivalence; so
+are spans, and let annotations, which the type checker makes agree with
+the scrutinee.
 
 All public constructors expect locally closed arguments (no dangling
 indices); the index-shifting primitives at the bottom are for internal
 use by the rewriter and checker.  `CHILDREN` is the one place that lists
 a node class's children and the binders each sits under; `map_node`,
 `subnodes`, `rebuild` and the loose bounds below, and the rewriter's
-congruence walk, all read it.  Each variable operation is one `VarMap`,
-whose two hooks, `free` and `bound`, get the variable's namespace and
-whose `from_` bounds the loose indices it acts on.  Each node of all
-four sorts caches, on first use and outside its dataclass fields, one
-more than its largest loose index in each namespace, and its free type,
-term and relation names in first-occurrence order.  Shifting and
+congruence walk and its table of let-hoisting positions, all read it.
+Each variable operation is one `VarMap`, whose two hooks, `free` and
+`bound`, get the variable's namespace and whose `from_` bounds the loose
+indices it acts on.  Each node of all four sorts caches, on first use
+and outside its dataclass fields, one more than its largest loose index
+in each namespace, and its free type, term and relation names in
+first-occurrence order.  Shifting and
 instantiation return a subtree with no loose index they act on without
 walking it; closing and substitution (`close_*`, `subst_*`) return one
 that lacks the names they act on.  The free-name queries read the root's
@@ -44,6 +47,12 @@ def _hint(default: str = "a"):
 
 def _span():
     return field(default=None, compare=False, repr=False)
+
+
+def _annotation():
+    """A let's optional annotation: the type checker rejects one that
+    disagrees with the scrutinee, so it is excluded from equality."""
+    return field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +203,8 @@ class LetTensor(Term):
 
     hintx: str = _hint("x")
     hinty: str = _hint("y")
-    tyx: Optional[Type] = None
-    tyy: Optional[Type] = None
+    tyx: Optional[Type] = _annotation()
+    tyy: Optional[Type] = _annotation()
     scrut: Term = None
     body: Term = None
     span: Optional[Span] = _span()
@@ -204,7 +213,7 @@ class LetTensor(Term):
 @dataclass(frozen=True)
 class LetBang(Term):
     hint: str = _hint("x")
-    ty: Optional[Type] = None
+    ty: Optional[Type] = _annotation()
     scrut: Term = None
     body: Term = None
     span: Optional[Span] = _span()

@@ -315,6 +315,17 @@ class TestEqual:
                                        ["equal", FILE, lhs, rhs])
         assert got["status"] == status
 
+    @pytest.mark.parametrize("text", [
+        "term t = fn p: I*I. let x (*) y = p in let <> = x in y\n"
+        "#equal t == fn p: I*I. let x (*) y = p in let <> = x in y\n",
+        "#equal fn p: !I. let !x = p in x == fn p: !I. let !x : I = p in x\n",
+    ])
+    def test_let_annotation_does_not_separate(self, write, capsys, text):
+        """An inlined term carries the annotation the type checker filled
+        in; the other side has none."""
+        assert main(["check", write("a.pilly", text)]) == 0
+        assert "[ok] #equal" in capsys.readouterr().out
+
     def test_ill_typed_side_is_type_error(self, write, capsys):
         f = write("e.pilly", "")
         assert main(["equal", f, "<> <>", "<>"]) == 1
@@ -441,11 +452,15 @@ class TestConfig:
         if rc == 2:
             assert capsys.readouterr().err.startswith("error: strict")
 
-    def test_bad_config_is_usage_error(self, write, tmp_path):
+    def test_bad_config_is_usage_error(self, write, tmp_path, capsys):
         cfgp = tmp_path / "pilly.toml"
-        cfgp.write_text("fuel\n")
-        assert main(["--config", str(cfgp), "check",
-                     write("x.pilly", "")]) == 2
+        for text, msg in [("fuel\n", "bad config line"),
+                          ("catalog = 3\n", "catalog must be a path, got 3"),
+                          ("catalog = true\n", "catalog must be a path")]:
+            cfgp.write_text(text)
+            assert main(["--config", str(cfgp), "check",
+                         write("x.pilly", "")]) == 2
+            assert capsys.readouterr().err.startswith("error: " + msg)
 
 
 class TestCatalogFiles:

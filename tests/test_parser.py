@@ -8,7 +8,7 @@ import pytest
 from conftest import gen_scoped_prop, gen_scoped_rel, gen_scoped_term, gen_type
 from pilly import encodings as E
 from pilly import syntax as S
-from pilly.parser import (Diagnostic, ParseError, Parser, Signature,
+from pilly.parser import (ParseError, Parser, Signature,
                           parse_encode_type, parse_file, parse_prop, parse_rel,
                           parse_term, parse_type, tokenize)
 from pilly.pretty import pp, print_term, print_type

@@ -22,7 +22,51 @@ def norm(src, **kw):
     return normalize(parse_term(src), RewriteConfig(**kw) if kw else CFG)
 
 
+# Every hoisting position with every let-form, under an outer `fn z:I.`
+# that the let's scrutinee and body and the parent's other child all use,
+# so a wrong shift or cutoff renames a variable.
+_LETS = ("let <> = h z in f z", "let x (*) y = h z in x y z",
+         "let !x = h z in x z")
+_HOISTS = [
+    ("({L}) (g z)", ["let <> = h z in f z (g z)",
+                     "let x (*) y = h z in x y z (g z)",
+                     "let !x = h z in x z (g z)"]),
+    ("(g z) ({L})", ["let <> = h z in g z (f z)",
+                     "let x (*) y = h z in g z (x y z)",
+                     "let !x = h z in g z (x z)"]),
+    ("({L}) [I]", ["let <> = h z in f z [I]",
+                   "let x (*) y = h z in x y z [I]",
+                   "let !x = h z in x z [I]"]),
+    ("({L}) (*) (g z)", ["let <> = h z in f z (*) g z",
+                         "let x (*) y = h z in x y z (*) g z",
+                         "let !x = h z in x z (*) g z"]),
+    ("(g z) (*) ({L})", ["let <> = h z in g z (*) f z",
+                         "let x (*) y = h z in g z (*) x y z",
+                         "let !x = h z in g z (*) x z"]),
+    ("let <> = {L} in g z", [
+        "let <> = h z in let <> = f z in g z",
+        "let x (*) y = h z in let <> = x y z in g z",
+        "let !x = h z in let <> = x z in g z"]),
+    ("let a (*) b = {L} in g a b z", [
+        "let <> = h z in let a (*) b = f z in g a b z",
+        "let x (*) y = h z in let a (*) b = x y z in g a b z",
+        "let !x = h z in let a (*) b = x z in g a b z"]),
+    ("let !a = {L} in g a z", [
+        "let <> = h z in let !a = f z in g a z",
+        "let x (*) y = h z in let !a = x y z in g a z",
+        "let !x = h z in let !a = x z in g a z"]),
+]
+
+
 class TestStep:
+    @pytest.mark.parametrize("src,want", [
+        (shape.format(L=let), want) for shape, wants in _HOISTS
+        for let, want in zip(_LETS, wants)])
+    def test_commuting_conversion_table(self, src, want):
+        got = step(parse_term("fn z:I. " + src))
+        assert got == parse_term("fn z:I. " + want)
+        assert pp(got) == "fn z:I. " + want
+
     def test_beta_term(self):
         t = parse_term("(fn x:I. x) <>")
         assert step(t) == S.Star()
@@ -191,6 +235,15 @@ class TestEqual:
         cfg1 = RewriteConfig(y_unroll=1, eta=False)
         assert isinstance(equal(zero, once, cfg0), Unknown)
         assert isinstance(equal(zero, once, cfg1), Equal)
+
+    def test_let_annotations_do_not_separate(self):
+        for lhs, rhs in [("fn p:!I. let !x = p in x",
+                          "fn p:!I. let !x : I = p in x"),
+                         ("fn p:I * I. let x (*) y = p in let <> = x in y",
+                          "fn p:I * I. let x (*) y : I * I = p in "
+                          "let <> = x in y")]:
+            assert isinstance(equal(parse_term(lhs), parse_term(rhs), CFG,
+                                    TermContext()), Equal)
 
     def test_equal_is_witnessed(self):
         r = equal(parse_term("(fn x:I. x) <>"), S.Star(), CFG)

@@ -205,6 +205,34 @@ def _full_walk(obj, m, td=0, md=0, rd=0):
     return S.map_node(obj, m, td, md, rd)
 
 
+_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _same(a, b) -> bool:
+    """Identical in every field, with hints, spans and let annotations,
+    which `==` skips."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if type(x) is tuple:
+            if len(x) != len(y):
+                return False
+            todo.extend(zip(x, y))
+        elif dataclasses.is_dataclass(x):
+            names = _FIELDS.get(type(x))
+            if names is None:
+                names = _FIELDS[type(x)] = tuple(
+                    f.name for f in dataclasses.fields(x))
+            todo.extend((getattr(x, n), getattr(y, n)) for n in names)
+        elif x != y:
+            return False
+    return True
+
+
 class _LooseRef(S.VarMap):
     """1 + the largest loose index per namespace, by a full walk."""
 
@@ -265,18 +293,19 @@ class TestLooseBounds:
         rep_ty = [Unit(), TyVar("q"), S.TyBound(1)]
         for i, n in enumerate(_loose_corpus()):
             for by, cut in ((1, 0), (2, 1), (-1, 1)):
-                assert S.shift(n, ty_by=by, td=cut) == _full_walk(
-                    n, S._Shift((by, 0, 0)), td=cut)
-                assert S.shift(n, tm_by=by, md=cut) == _full_walk(
-                    n, S._Shift((0, by, 0)), md=cut)
+                assert _same(S.shift(n, ty_by=by, td=cut), _full_walk(
+                    n, S._Shift((by, 0, 0)), td=cut))
+                assert _same(S.shift(n, tm_by=by, md=cut), _full_walk(
+                    n, S._Shift((0, by, 0)), md=cut))
             if isinstance(n, S.Term):
                 arg = rep_tm[i % len(rep_tm)]
-                assert S.instantiate_tm(n, arg) == _full_walk(
-                    n, S._Inst(1, (arg,)))
-                assert S.instantiate_tm(n, arg, S.Star()) == _full_walk(
-                    n, S._Inst(1, (arg, S.Star())))
+                assert _same(S.instantiate_tm(n, arg), _full_walk(
+                    n, S._Inst(1, (arg,))))
+                assert _same(S.instantiate_tm(n, arg, S.Star()), _full_walk(
+                    n, S._Inst(1, (arg, S.Star()))))
             ty = rep_ty[i % len(rep_ty)]
-            assert S.instantiate_ty(n, ty) == _full_walk(n, S._Inst(0, (ty,)))
+            assert _same(S.instantiate_ty(n, ty),
+                         _full_walk(n, S._Inst(0, (ty,))))
             for k in range(3):
                 for ns in (1, 0):
                     ref = S._UsesBound(ns, k)
@@ -293,16 +322,16 @@ class TestLooseBounds:
         for i, n in enumerate(_loose_corpus()):
             for by, cut in ((1, 0), (2, 1), (-1, 1)):
                 got = S.shift(n, rel_by=by, rd=cut)
-                assert got == _full_walk(n, S._Shift((0, 0, by)), rd=cut)
+                assert _same(got, _full_walk(n, S._Shift((0, 0, by)), rd=cut))
                 _assert_shared(n, got)
             rel = rep_rel[i % len(rep_rel)]
             got = S.instantiate_rel(n, rel)
-            assert got == _full_walk(n, S._Inst(2, (rel,)))
+            assert _same(got, _full_walk(n, S._Inst(2, (rel,))))
             _assert_shared(n, got)
             if isinstance(n, (S.Relation, S.Proposition)):
                 args = (S.Var("q"), S.Star())
-                assert S.instantiate_tm(n, *args) == _full_walk(
-                    n, S._Inst(1, args))
+                assert _same(S.instantiate_tm(n, *args), _full_walk(
+                    n, S._Inst(1, args)))
 
     def test_relation_maps_skip_subtrees_without_their_variable(self):
         """instantiate_rel and close_rel call no hook inside a proposition
@@ -421,13 +450,19 @@ def _name_corpus():
     return out
 
 
+def _annotations(n) -> list:
+    return [(x.tyx, x.tyy) if isinstance(x, S.LetTensor) else x.ty
+            for x in S.subnodes(n) if isinstance(x, (S.LetTensor, S.LetBang))]
+
+
 def _assert_shared(old, new):
     """Each subtree of `new` equal to the subtree of `old` at the same
-    place is that very object."""
+    place, let annotations included (`==` skips them), is that very
+    object."""
     todo = [(old, new)]
     while todo:
         a, b = todo.pop()
-        if a == b:
+        if a == b and _annotations(a) == _annotations(b):
             assert a is b
         elif type(a) is type(b):
             for name, *_ in S.CHILDREN.get(type(a), ()):
@@ -485,7 +520,7 @@ class TestFreeNameCache:
                 cases.append((S.close_rel(obj, rels[0]),
                               S._Close(2, (rels[0],))))
             for got, m in cases:
-                assert got == _full_walk(obj, m)
+                assert _same(got, _full_walk(obj, m))
                 _assert_shared(obj, got)
 
     def test_name_free_subtrees_are_not_walked(self):
