@@ -89,6 +89,19 @@ def nu_type(var: str, body: Type) -> Type:
 # Isomorphism bundles
 
 
+def _iso_bundle(name: str, ty: Type, enc: Type, fwd: Term, bwd: Term
+                ) -> EncodingBundle:
+    """ty as a retract of enc: bwd . fwd = id is a beta law, and
+    fwd . bwd = id a schema law."""
+    b = EncodingBundle(name, enc)
+    b.combinators["fwd"] = (fwd, Lolli(ty, enc))
+    b.combinators["bwd"] = (bwd, Lolli(enc, ty))
+    b.beta_laws.append(("bwd_fwd", S.compose(bwd, fwd, ty), S.id_at(ty)))
+    b.schema_laws.append(("fwd_bwd", S.InternalEq(
+        Lolli(enc, enc), S.compose(fwd, bwd, enc), S.id_at(enc))))
+    return b
+
+
 def encode_iso_self(ty: Type) -> EncodingBundle:
     """ty is a retract of its double-negation-style wrapping."""
     enc = self_iso_type(ty)
@@ -96,13 +109,7 @@ def encode_iso_self(ty: Type) -> EncodingBundle:
     fwd = S.lin_lam(x, ty, S.ty_lam(a, S.lin_lam(
         h, Lolli(ty, TyVar(a)), S.App(S.Var(h), S.Var(x)))))
     bwd = S.lin_lam(x, enc, S.app(S.tyapp(S.Var(x), ty), S.id_at(ty)))
-    b = EncodingBundle("iso_self", enc)
-    b.combinators["fwd"] = (fwd, Lolli(ty, enc))
-    b.combinators["bwd"] = (bwd, Lolli(enc, ty))
-    b.beta_laws.append(("bwd_fwd", S.compose(bwd, fwd, ty), S.id_at(ty)))
-    b.schema_laws.append(("fwd_bwd", S.InternalEq(
-        Lolli(enc, enc), S.compose(fwd, bwd, enc), S.id_at(enc))))
-    return b
+    return _iso_bundle("iso_self", ty, enc, fwd, bwd)
 
 
 def encode_tensor(s: Type, t: Type) -> EncodingBundle:
@@ -117,13 +124,8 @@ def encode_tensor(s: Type, t: Type) -> EncodingBundle:
     pairing = S.lin_lam(x, s, S.lin_lam(xp, t,
                                         S.tensor_pair(S.Var(x), S.Var(xp))))
     bwd = S.lin_lam(y, enc, S.app(S.tyapp(S.Var(y), st), pairing))
-    b = EncodingBundle("tensor", enc)
-    b.combinators["fwd"] = (fwd, Lolli(st, enc))
-    b.combinators["bwd"] = (bwd, Lolli(enc, st))
+    b = _iso_bundle("tensor", st, enc, fwd, bwd)
     b.combinators["pairing"] = (pairing, Lolli(s, Lolli(t, st)))
-    b.beta_laws.append(("bwd_fwd", S.compose(bwd, fwd, st), S.id_at(st)))
-    b.schema_laws.append(("fwd_bwd", S.InternalEq(
-        Lolli(enc, enc), S.compose(fwd, bwd, enc), S.id_at(enc))))
     return b
 
 
@@ -131,14 +133,8 @@ def encode_unit() -> EncodingBundle:
     enc = unit_iso_type()
     fwd = S.lin_lam("x", Unit(), S.LetStar(S.Var("x"), S.poly_id()))
     bwd = S.lin_lam("t", enc, S.app(S.tyapp(S.Var("t"), Unit()), S.Star()))
-    b = EncodingBundle("unit", enc)
-    b.combinators["fwd"] = (fwd, Lolli(Unit(), enc))
-    b.combinators["bwd"] = (bwd, Lolli(enc, Unit()))
+    b = _iso_bundle("unit", Unit(), enc, fwd, bwd)
     b.combinators["id"] = (S.poly_id(), enc)
-    b.beta_laws.append(("bwd_fwd", S.compose(bwd, fwd, Unit()),
-                        S.id_at(Unit())))
-    b.schema_laws.append(("fwd_bwd", S.InternalEq(
-        Lolli(enc, enc), S.compose(fwd, bwd, enc), S.id_at(enc))))
     return b
 
 
@@ -190,19 +186,13 @@ def encode_one() -> EncodingBundle:
 # Sums, products, naturals
 
 
-def _inl(s: Type, t: Type) -> Term:
-    enc = sum_type(s, t)
-    a, x, f, g = fresh_many(["a", "x", "f", "g"], free_type_names(enc))
-    return S.lin_lam(x, s, S.ty_lam(a, S.lam_int(
-        f, Lolli(s, TyVar(a)), S.lam_int(
-            g, Lolli(t, TyVar(a)), S.App(S.Var(f), S.Var(x))))))
-
-
-def _inr(s: Type, t: Type) -> Term:
-    a, y, f, g = fresh_many(["a", "y", "f", "g"], free_type_names(sum_type(s, t)))
-    return S.lin_lam(y, t, S.ty_lam(a, S.lam_int(
-        f, Lolli(s, TyVar(a)), S.lam_int(
-            g, Lolli(t, TyVar(a)), S.App(S.Var(g), S.Var(y))))))
+def _inj(s: Type, t: Type, right: bool) -> Term:
+    """The left (s -o s+t) or right (t -o s+t) injection."""
+    a, x, f, g = fresh_many(["a", "y" if right else "x", "f", "g"],
+                            free_type_names(sum_type(s, t)))
+    return S.lin_lam(x, t if right else s, S.ty_lam(a, S.lam_int(
+        f, Lolli(s, TyVar(a)), S.lam_int(g, Lolli(t, TyVar(a)), S.App(
+            S.Var(g if right else f), S.Var(x))))))
 
 
 def _case(s: Type, t: Type) -> Term:
@@ -217,28 +207,22 @@ def _case(s: Type, t: Type) -> Term:
 
 def encode_sum(s: Type, t: Type) -> EncodingBundle:
     enc = sum_type(s, t)
-    inl, inr, case = _inl(s, t), _inr(s, t), _case(s, t)
+    inl, inr, case = _inj(s, t, False), _inj(s, t, True), _case(s, t)
     b = EncodingBundle("sum", enc)
     b.combinators["inl"] = (inl, Lolli(s, enc))
     b.combinators["inr"] = (inr, Lolli(t, enc))
-    va = TyVar("a")
-    b.combinators["case"] = (case, forall("a", arrow(
-        Lolli(s, va), arrow(Lolli(t, va), Lolli(enc, va)))))
     a, f, g, x, y = fresh_many(["a", "f", "g", "x", "y"],
                                free_type_names(enc))
-
-    def law(side: str, inj: Term, arg_ty: Type, chosen: str, var: str):
-        applied = S.app(S.tyapp(case, TyVar(a)), S.bang(S.Var(f)),
-                        S.bang(S.Var(g)), S.App(inj, S.Var(var)))
-        lhs = S.ty_lam(a, S.lam_int(f, Lolli(s, TyVar(a)), S.lam_int(
-            g, Lolli(t, TyVar(a)), S.lin_lam(var, arg_ty, applied))))
-        rhs = S.ty_lam(a, S.lam_int(f, Lolli(s, TyVar(a)), S.lam_int(
-            g, Lolli(t, TyVar(a)), S.lin_lam(
-                var, arg_ty, S.App(S.Var(chosen), S.Var(var))))))
-        b.beta_laws.append((side, lhs, rhs))
-
-    law("case_inl", inl, s, f, x)
-    law("case_inr", inr, t, g, y)
+    va = TyVar(a)
+    b.combinators["case"] = (case, forall(a, arrow(
+        Lolli(s, va), arrow(Lolli(t, va), Lolli(enc, va)))))
+    for side, inj, arg_ty, chosen, var in (("case_inl", inl, s, f, x),
+                                           ("case_inr", inr, t, g, y)):
+        under = lambda body: S.ty_lam(a, S.lam_int(f, Lolli(s, va), S.lam_int(
+            g, Lolli(t, va), S.lin_lam(var, arg_ty, body))))
+        b.beta_laws.append((side, under(S.app(
+            S.tyapp(case, va), S.bang(S.Var(f)), S.bang(S.Var(g)),
+            S.App(inj, S.Var(var)))), under(S.App(S.Var(chosen), S.Var(var)))))
     # copairing the injections is the identity
     b.schema_laws.append(("case_of_injections", S.InternalEq(
         Lolli(enc, enc),
@@ -265,42 +249,33 @@ def encode_product(s: Type, t: Type) -> EncodingBundle:
     b = EncodingBundle("product", enc)
     proj1 = S.lin_lam("x", enc, S.App(
         S.TyApp(S.Var("x"), s),
-        S.App(_inl(Lolli(s, s), Lolli(t, s)), S.id_at(s))))
+        S.App(_inj(Lolli(s, s), Lolli(t, s), False), S.id_at(s))))
     proj2 = S.lin_lam("x", enc, S.App(
         S.TyApp(S.Var("x"), t),
-        S.App(_inr(Lolli(s, t), Lolli(t, t)), S.id_at(t))))
+        S.App(_inj(Lolli(s, t), Lolli(t, t), True), S.id_at(t))))
     w, f, g, x, a, h, z = fresh_many(["w", "f", "g", "x", "a", "h", "z"],
                                      free_type_names(enc))
     vw, va = TyVar(w), TyVar(a)
-
-    def pair_body() -> Term:
-        # copair (fn z:s-oa. z . f) (fn z:t-oa. z . g) h x
-        left = S.lin_lam(z, Lolli(s, va), S.compose(S.Var(z), S.Var(f), vw))
-        right = S.lin_lam(z, Lolli(t, va), S.compose(S.Var(z), S.Var(g), vw))
-        cs = _case(Lolli(s, va), Lolli(t, va))
-        return S.app(S.tyapp(cs, Lolli(vw, va)), S.bang(left), S.bang(right),
-                     S.Var(h), S.Var(x))
-
-    pair = S.ty_lam(w, S.lam_int(f, Lolli(vw, s), S.lam_int(
-        g, Lolli(vw, t), S.lin_lam(x, vw, S.ty_lam(a, S.lin_lam(
-            h, sum_type(Lolli(s, va), Lolli(t, va)), pair_body()))))))
+    under = lambda body: S.ty_lam(w, S.lam_int(f, Lolli(vw, s), S.lam_int(
+        g, Lolli(vw, t), S.lin_lam(x, vw, body))))
+    # copair (fn z:s-oa. z . f) (fn z:t-oa. z . g) h x
+    left = S.lin_lam(z, Lolli(s, va), S.compose(S.Var(z), S.Var(f), vw))
+    right = S.lin_lam(z, Lolli(t, va), S.compose(S.Var(z), S.Var(g), vw))
+    cs = _case(Lolli(s, va), Lolli(t, va))
+    pair = under(S.ty_lam(a, S.lin_lam(
+        h, sum_type(Lolli(s, va), Lolli(t, va)),
+        S.app(S.tyapp(cs, Lolli(vw, va)), S.bang(left), S.bang(right),
+              S.Var(h), S.Var(x)))))
     b.combinators["proj1"] = (proj1, Lolli(enc, s))
     b.combinators["proj2"] = (proj2, Lolli(enc, t))
     b.combinators["pair"] = (pair, forall(w, arrow(
         Lolli(vw, s), arrow(Lolli(vw, t), Lolli(vw, enc)))))
-
-    def law(name: str, proj: Term, chosen: str):
-        paired = S.app(S.tyapp(pair, vw), S.bang(S.Var(f)), S.bang(S.Var(g)),
-                       S.Var(x))
-        lhs = S.ty_lam(w, S.lam_int(f, Lolli(vw, s), S.lam_int(
-            g, Lolli(vw, t), S.lin_lam(x, vw, S.App(proj, paired)))))
-        rhs = S.ty_lam(w, S.lam_int(f, Lolli(vw, s), S.lam_int(
-            g, Lolli(vw, t), S.lin_lam(x, vw,
-                                       S.App(S.Var(chosen), S.Var(x))))))
-        b.beta_laws.append((name, lhs, rhs))
-
-    law("proj1_pair", proj1, f)
-    law("proj2_pair", proj2, g)
+    paired = S.app(S.tyapp(pair, vw), S.bang(S.Var(f)), S.bang(S.Var(g)),
+                   S.Var(x))
+    for name, proj, chosen in (("proj1_pair", proj1, f),
+                               ("proj2_pair", proj2, g)):
+        b.beta_laws.append((name, under(S.App(proj, paired)),
+                            under(S.App(S.Var(chosen), S.Var(x)))))
     b.schema_laws.append(("surjective_pairing", S.forall_ty_p(
         w, S.forall_tm_p(h, Lolli(vw, enc), S.InternalEq(
             Lolli(vw, enc), S.Var(h),
@@ -321,29 +296,24 @@ def encode_nat() -> EncodingBundle:
         f, Lolli(va, va), S.lin_lam(x, va, S.App(
             S.Var(f),
             S.app(S.tyapp(S.Var(y), va), S.bang(S.Var(f)), S.Var(x)))))))
-    iter_ = S.ty_lam(st, S.lin_lam(a0, TyVar(st), S.lam_int(
-        f, Lolli(TyVar(st), TyVar(st)), S.lin_lam(y, enc, S.app(
-            S.tyapp(S.Var(y), TyVar(st)), S.bang(S.Var(f)), S.Var(a0))))))
-    b.combinators["zero"] = (zero, enc)
-    b.combinators["succ"] = (succ, Lolli(enc, enc))
-    b.combinators["iter"] = (iter_, forall(st, Lolli(
-        TyVar(st), arrow(Lolli(TyVar(st), TyVar(st)), Lolli(enc, TyVar(st))))))
     vs = TyVar(st)
 
     def quantified(body: Term) -> Term:
         return S.ty_lam(st, S.lin_lam(a0, vs, S.lam_int(
             f, Lolli(vs, vs), body)))
 
+    iter_ = quantified(S.lin_lam(y, enc, S.app(
+        S.tyapp(S.Var(y), vs), S.bang(S.Var(f)), S.Var(a0))))
+    b.combinators["zero"] = (zero, enc)
+    b.combinators["succ"] = (succ, Lolli(enc, enc))
+    b.combinators["iter"] = (iter_, forall(st, Lolli(
+        vs, arrow(Lolli(vs, vs), Lolli(enc, vs)))))
     it = lambda n: S.app(S.tyapp(iter_, vs), S.Var(a0), S.bang(S.Var(f)), n)
     b.beta_laws.append((
         "iter_zero", quantified(it(zero)), quantified(S.Var(a0))))
-    b.beta_laws.append((
-        "iter_succ",
-        S.ty_lam(st, S.lin_lam(a0, vs, S.lam_int(
-            f, Lolli(vs, vs), S.lin_lam(y, enc, it(S.App(succ, S.Var(y))))))),
-        S.ty_lam(st, S.lin_lam(a0, vs, S.lam_int(
-            f, Lolli(vs, vs), S.lin_lam(y, enc,
-                                        S.App(S.Var(f), it(S.Var(y)))))))))
+    succ_law = lambda body: quantified(S.lin_lam(y, enc, body))
+    b.beta_laws.append(("iter_succ", succ_law(it(S.App(succ, S.Var(y)))),
+                        succ_law(S.App(S.Var(f), it(S.Var(y))))))
     rn, xn = "R", "x"
     rv = RelVar(rn, enc, enc, Flavor.ADMREL)
     b.schema_laws.append(("induction", S.forall_rel_p(
@@ -371,7 +341,6 @@ def numeral(n: int) -> Term:
 
 
 def _pack(var: str, body: Type) -> Term:
-    enc = exists_type(var, body)
     avoid = set(free_type_names(body)) | {var}
     x, bq, f = fresh_many(["x", "b", "f"], avoid)
     inner_poly = forall(var, Lolli(body, TyVar(bq)))
@@ -460,14 +429,13 @@ def encode_mu(var: str, body: Type) -> EncodingBundle:
     t, f, x = fresh_many(["t", "f", "x"], set(free_type_names(body)) | {var})
     vt = TyVar(t)
     fold_tf = S.app(S.tyapp(fold, vt), S.bang(S.Var(f)))
-    lhs = S.ty_lam(t, S.lam_int(f, Lolli(body_at(vt), vt), S.lin_lam(
-        x, body_at(enc), S.App(fold_tf, S.App(in_, S.Var(x))))))
-    rhs = S.ty_lam(t, S.lam_int(f, Lolli(body_at(vt), vt), S.lin_lam(
-        x, body_at(enc),
-        S.App(S.Var(f),
-              S.App(action_cov(body, var, enc, vt, fold_tf), S.Var(x))))))
-    b.beta_laws.append(("fold_in_square", lhs, rhs))
-    h, xn, yn = fresh_many(["h", "x", "y"], {t, f, var})
+    under = lambda body_: S.ty_lam(t, S.lam_int(
+        f, Lolli(body_at(vt), vt), S.lin_lam(x, body_at(enc), body_)))
+    b.beta_laws.append(("fold_in_square",
+                        under(S.App(fold_tf, S.App(in_, S.Var(x)))),
+                        under(S.App(S.Var(f), S.App(action_cov(
+                            body, var, enc, vt, fold_tf), S.Var(x))))))
+    h, xn = fresh_many(["h", "x"], {t, f, var})
     b.schema_laws.append(("initiality", S.forall_ty_p(t, S.forall_tm_p(
         f, Lolli(body_at(vt), vt), S.forall_tm_p(
             h, Lolli(enc, vt), S.Implies(
@@ -480,7 +448,7 @@ def encode_mu(var: str, body: Type) -> EncodingBundle:
                              S.app(S.tyapp(fold, vt), S.bang(S.Var(f))))))))))
     rn = "R"
     rv = RelVar(rn, enc, enc, Flavor.ADMREL)
-    interp = R.type_rel_interp(body, [rv])
+    interp = R.interp_with(body, {var: rv})
     b.schema_laws.append(("induction", S.forall_rel_p(
         rn, enc, enc, Flavor.ADMREL, S.Implies(
             S.RelApp(R.lolli_rel(interp, rv), in_, in_),
@@ -489,11 +457,9 @@ def encode_mu(var: str, body: Type) -> EncodingBundle:
 
 
 def nu_unfold(var: str, body: Type) -> Term:
-    enc = nu_type(var, body)
     t, fb, x = fresh_many(["t", "f", "x"], set(free_type_names(body)) | {var})
     vt = TyVar(t)
     body_t = S.subst_type_in_type(body, var, vt)
-    carrier_t = Tensor(Bang(Lolli(vt, body_t)), vt)
     pack = _pack(var, Tensor(Bang(Lolli(TyVar(var), body)), TyVar(var)))
     return S.ty_lam(t, S.lin_lam(fb, Bang(Lolli(vt, body_t)), S.lin_lam(
         x, vt, S.App(S.TyApp(pack, vt),
@@ -527,22 +493,21 @@ def encode_nu(var: str, body: Type) -> EncodingBundle:
     out, r = nu_out(var, body)
     body_at = lambda ty: S.subst_type_in_type(body, var, ty)
     b = EncodingBundle("nu", enc)
-    vt = TyVar("t")
-    b.combinators["unfold"] = (unfold, forall("t", Lolli(
+    t, f, x = fresh_many(["t", "f", "x"], set(free_type_names(body)) | {var})
+    vt = TyVar(t)
+    b.combinators["unfold"] = (unfold, forall(t, Lolli(
         Bang(Lolli(vt, body_at(vt))), Lolli(vt, enc))))
     b.combinators["out"] = (out, Lolli(enc, body_at(enc)))
     b.combinators["observe"] = (
-        r, forall("t", Lolli(Tensor(Bang(Lolli(vt, body_at(vt))), vt),
-                             body_at(enc))))
-    t, f, x = fresh_many(["t", "f", "x"], set(free_type_names(body)) | {var})
-    vt = TyVar(t)
+        r, forall(t, Lolli(Tensor(Bang(Lolli(vt, body_at(vt))), vt),
+                           body_at(enc))))
     unfold_tf = S.app(S.tyapp(unfold, vt), S.bang(S.Var(f)))
-    lhs = S.ty_lam(t, S.lam_int(f, Lolli(vt, body_at(vt)), S.lin_lam(
-        x, vt, S.App(out, S.App(unfold_tf, S.Var(x))))))
-    rhs = S.ty_lam(t, S.lam_int(f, Lolli(vt, body_at(vt)), S.lin_lam(
-        x, vt, S.App(action_cov(body, var, vt, enc, unfold_tf),
-                     S.App(S.Var(f), S.Var(x))))))
-    b.beta_laws.append(("out_unfold_square", lhs, rhs))
+    under = lambda body_: S.ty_lam(t, S.lam_int(
+        f, Lolli(vt, body_at(vt)), S.lin_lam(x, vt, body_)))
+    b.beta_laws.append(("out_unfold_square",
+                        under(S.App(out, S.App(unfold_tf, S.Var(x)))),
+                        under(S.App(action_cov(body, var, vt, enc, unfold_tf),
+                                    S.App(S.Var(f), S.Var(x))))))
     h, xn, yn = fresh_many(["h", "x", "y"], {t, f, var})
     b.schema_laws.append(("finality", S.forall_ty_p(t, S.forall_tm_p(
         f, Lolli(vt, body_at(vt)), S.forall_tm_p(
@@ -556,7 +521,7 @@ def encode_nu(var: str, body: Type) -> EncodingBundle:
     for name, flavor in (("coinduction", Flavor.ADMREL),
                          ("general_coinduction", Flavor.REL)):
         rv = RelVar(rn, enc, enc, flavor)
-        interp = R.type_rel_interp(body, [rv])
+        interp = R.interp_with(body, {var: rv})
         b.schema_laws.append((name, S.forall_rel_p(
             rn, enc, enc, flavor, S.Implies(
                 S.RelApp(R.lolli_rel(rv, interp), out, out),
@@ -572,7 +537,10 @@ def encode_nu(var: str, body: Type) -> EncodingBundle:
 
 @dataclass
 class RecParts:
-    """Intermediate data shared by the two recursive-type generators."""
+    """What both recursive-type generators build from rec var. body."""
+    neg_params: list[str]     # padded to the length of pos_params
+    pos_params: list[str]
+    swap: dict[str, Type]     # each parameter to its partner
     split_body: Type          # over neg_var, pos_var
     neg_var: str
     pos_var: str
@@ -581,22 +549,70 @@ class RecParts:
     phi: Type                 # the companion's body, open in a
     tau_prime: Type           # nu a. phi
     tau: Type
+    in_: Term                 # s(tau', tau) -o tau
+    out: Term                 # tau' -o s(tau, tau'), parameters swapped
+    bundle: EncodingBundle    # into and outof, closed over the parameters
 
 
-def _rec_parts(var: str, body: Type,
-               swap: dict[str, Type] | None = None) -> RecParts:
+def _forbid(ty: Type, names: list[str], positive: bool, message: str) -> None:
+    """Reject the first of names that occurs in ty with the given sign;
+    message is formatted with the name and the sign."""
+    sign = "positively" if positive else "negatively"
+    for nm in names:
+        pol = polarity(ty, nm)
+        if pol.positive if positive else pol.negative:
+            raise PolarityViolation(message.format(nm, sign))
+
+
+def _rec_parts(name: str, var: str, body: Type, neg_params: list[str],
+               pos_params: list[str]) -> RecParts:
+    """Split var by variance and build the two fixed points.  The i-th
+    negative and positive parameters swap roles in the companion type; a
+    shorter vector is padded with fresh vacuous variables."""
+    neg_params, pos_params = list(neg_params), list(pos_params)
+    avoid = set(free_type_names(body)) | set(neg_params) | set(pos_params)
+    while len(neg_params) < len(pos_params):
+        neg_params.append(fresh(pos_params[len(neg_params)] + "n", avoid))
+        avoid.add(neg_params[-1])
+    while len(pos_params) < len(neg_params):
+        pos_params.append(fresh(neg_params[len(pos_params)] + "p", avoid))
+        avoid.add(pos_params[-1])
+    only = "parameter {!r} must occur only "
+    _forbid(body, neg_params, True, only + "negatively")
+    _forbid(body, pos_params, False, only + "positively")
+    swap: dict[str, Type] = {}
+    for nn, pp_ in zip(neg_params, pos_params):
+        swap[nn] = TyVar(pp_)
+        swap[pp_] = TyVar(nn)
     st = split_occurrences(body, var)
-    n, p = st.neg_var, st.pos_var
-    omega = mu_type(p, st.split)          # free: n (+ parameters)
+    s4, n, p = st.split, st.neg_var, st.pos_var
+    omega = mu_type(p, s4)                # free: n (+ parameters)
     a = fresh("a", set(free_type_names(body)) | {n, p})
-    omega_a = S.subst_type_in_type(omega, n, TyVar(a))
-    phi_map: dict[str, Type] = dict(swap or {})
-    phi_map[n] = omega_a
-    phi_map[p] = TyVar(a)
-    phi = S.subst_types(st.split, phi_map)
-    tau_prime = nu_type(a, phi)
-    tau = S.subst_type_in_type(omega, n, tau_prime)
-    return RecParts(st.split, n, p, omega, a, phi, tau_prime, tau)
+    phi = S.subst_types(s4, {**swap, p: TyVar(a),
+                             n: S.subst_type_in_type(omega, n, TyVar(a))})
+    tau_p = nu_type(a, phi)
+    tau = S.subst_type_in_type(omega, n, tau_p)
+    _forbid(tau, neg_params, True, "{!r} occurs {} in the result")
+    _forbid(tau_p, neg_params, False, "{!r} occurs {} in the companion")
+    _forbid(tau, pos_params, False, "{!r} occurs {} in the result")
+    _forbid(tau_p, pos_params, True, "{!r} occurs {} in the companion")
+    in_ = mu_in(p, S.subst_type_in_type(s4, n, tau_p))
+    out, _ = nu_out(a, phi)
+    params = neg_params + pos_params
+    b = EncodingBundle(name, tau)
+    b.combinators["into"] = (S.ty_lams(params, in_), S.foralls(
+        params, Lolli(S.subst_types(s4, {n: tau_p, p: tau}), tau)))
+    b.combinators["outof"] = (S.ty_lams(params, out), S.foralls(
+        params, Lolli(tau_p, S.subst_types(s4, {**swap, n: tau, p: tau_p}))))
+    return RecParts(neg_params, pos_params, swap, s4, n, p, omega, a, phi,
+                    tau_p, tau, in_, out, b)
+
+
+def _subset(r1: S.Relation, r2: S.Relation, d1: Type, d2: Type, x: str,
+            y: str) -> S.Proposition:
+    """r1 is included in r2, both between d1 and d2."""
+    return S.forall_tm_p(x, d1, S.forall_tm_p(y, d2, S.Implies(
+        S.RelApp(r1, S.Var(x), S.Var(y)), S.RelApp(r2, S.Var(x), S.Var(y)))))
 
 
 def encode_rec(var: str, body: Type) -> EncodingBundle:
@@ -610,16 +626,14 @@ def encode_rec(var: str, body: Type) -> EncodingBundle:
         from .functor import NotInductivelyConstructed
         raise NotInductivelyConstructed(
             "recursive solving needs an inductively constructed body")
-    parts = _rec_parts(var, body)
+    parts = _rec_parts("rec", var, body, [], [])
     s4, n, p = parts.split_body, parts.neg_var, parts.pos_var
-    tau, tau_p = parts.tau, parts.tau_prime
+    tau, tau_p, in_, out = parts.tau, parts.tau_prime, parts.in_, parts.out
     s4_at = lambda nn, pp: S.subst_types(s4, {n: nn, p: pp})
 
     mu_bundle_body = S.subst_type_in_type(s4, n, tau_p)  # open in p
-    in_ = mu_in(p, mu_bundle_body)                        # s(tau', tau) -o tau
     fold = mu_fold(p, mu_bundle_body)
     a, phi = parts.a, parts.phi
-    out, _ = nu_out(a, phi)                               # tau' -o s(tau, tau')
     unfold = nu_unfold(a, phi)
 
     # in_inv : tau -o s(tau', tau) via fold at the shifted algebra
@@ -651,7 +665,8 @@ def encode_rec(var: str, body: Type) -> EncodingBundle:
                                    j, S.id_at(tau)), in_inv, tau)
 
     # dialgebra mediators
-    w, w2, tn, tn2 = fresh_many(["w", "w'", "t", "t'"], {n, p, a, u, v_})
+    w, w2, tn, tn2 = fresh_many(["w", "w'", "t", "t'"],
+                                set(free_type_names(tau)) | {n, p, a, u, v_})
     vw, vw2 = TyVar(w), TyVar(w2)
     omega_w2 = S.subst_type_in_type(parts.omega_body, n, vw2)
     fold_w2 = mu_fold(p, S.subst_type_in_type(s4, n, vw2))
@@ -662,52 +677,37 @@ def encode_rec(var: str, body: Type) -> EncodingBundle:
         S.Var(tn2), vw2)
     h_p = S.app(S.tyapp(unfold, vw2), S.bang(coalg))        # w' -o tau'
     omega_h = action_contra(parts.omega_body, n, h_p, tau_p, vw2)
-    k_body = S.compose(a_map, omega_h, tau)                 # tau -o w
     arg1 = Lolli(s4_at(vw2, vw), vw)
     arg2 = Lolli(vw2, s4_at(vw, vw2))
-    k = S.ty_lam(w, S.ty_lam(w2, S.lam_int(tn, arg1, S.lam_int(
-        tn2, arg2, k_body))))
-    kp_body = S.compose(j_inv, h_p, vw2)                    # w' -o tau
-    k_prime = S.ty_lam(w, S.ty_lam(w2, S.lam_int(tn, arg1, S.lam_int(
-        tn2, arg2, kp_body))))
+    under = lambda body_: S.ty_lam(w, S.ty_lam(w2, S.lam_int(
+        tn, arg1, S.lam_int(tn2, arg2, body_))))
+    over = lambda ty: S.foralls([w, w2], arrow(arg1, arrow(arg2, ty)))
 
-    b = EncodingBundle("rec", tau)
+    b = parts.bundle
     sigma_rec = S.subst_type_in_type(body, var, tau)  # == s(tau, tau)
-    b.combinators["into"] = (in_, Lolli(s4_at(tau_p, tau), tau))
-    b.combinators["outof"] = (out, Lolli(tau_p, s4_at(tau, tau_p)))
     b.combinators["iso"] = (i, Lolli(sigma_rec, tau))
     b.combinators["iso_inv"] = (i_inv, Lolli(tau, sigma_rec))
-    b.combinators["mediate"] = (k, S.foralls([w, w2], arrow(
-        arg1, arrow(arg2, Lolli(tau, vw)))))
-    b.combinators["mediate_inv"] = (k_prime, S.foralls([w, w2], arrow(
-        arg1, arrow(arg2, Lolli(vw2, tau)))))
+    b.combinators["mediate"] = (under(S.compose(a_map, omega_h, tau)),
+                                over(Lolli(tau, vw)))
+    b.combinators["mediate_inv"] = (under(S.compose(j_inv, h_p, vw2)),
+                                    over(Lolli(vw2, tau)))
     b.schema_laws.append(("iso_section", S.InternalEq(
         Lolli(tau, tau), S.compose(i, i_inv, tau), S.id_at(tau))))
     b.schema_laws.append(("iso_retraction", S.InternalEq(
         Lolli(sigma_rec, sigma_rec), S.compose(i_inv, i, sigma_rec),
         S.id_at(sigma_rec))))
-    rm, rp_, xn, yn = "Rm", "Rp", "x", "y"
+    rm, rp_ = "Rm", "Rp"
     rv_m = RelVar(rm, tau, tau, Flavor.REL)
     rv_p = RelVar(rp_, tau, tau, Flavor.ADMREL)
-    names = free_type_names(s4)
-
-    def s4_interp(n_rel, p_rel):
-        rel_for = {n: n_rel, p: p_rel}
-        return R.type_rel_interp(
-            s4, [rel_for.get(nm, R.eq_rel(TyVar(nm))) for nm in names])
-
-    interp1 = s4_interp(rv_p, rv_m)
-    interp2 = s4_interp(rv_m, rv_p)
-    subset = lambda r1, r2: S.forall_tm_p(xn, tau, S.forall_tm_p(
-        yn, tau, S.Implies(S.RelApp(r1, S.Var(xn), S.Var(yn)),
-                           S.RelApp(r2, S.Var(xn), S.Var(yn)))))
+    interp1 = R.interp_with(s4, {n: rv_p, p: rv_m})
+    interp2 = R.interp_with(s4, {n: rv_m, p: rv_p})
     b.schema_laws.append(("mixed_induction_coinduction", S.forall_rel_p(
         rm, tau, tau, Flavor.REL, S.forall_rel_p(
             rp_, tau, tau, Flavor.ADMREL, S.Implies(
                 S.And(S.RelApp(R.lolli_rel(rv_m, interp1), i_inv, i_inv),
                       S.RelApp(R.lolli_rel(interp2, rv_p), i, i)),
-                S.And(subset(rv_m, R.eq_rel(tau)),
-                      subset(R.eq_rel(tau), rv_p)))))))
+                S.And(_subset(rv_m, R.eq_rel(tau), tau, tau, "x", "y"),
+                      _subset(R.eq_rel(tau), rv_p, tau, tau, "x", "y")))))))
     return b
 
 
@@ -721,55 +721,11 @@ def encode_rec_params(neg_params: list[str], pos_params: list[str],
     parameters can be passed alone.  The rec variable is split
     internally, as in encode_rec.
     """
-    neg_params, pos_params = list(neg_params), list(pos_params)
-    avoid0 = set(free_type_names(body)) | set(neg_params) | set(pos_params)
-    while len(neg_params) < len(pos_params):
-        neg_params.append(fresh(pos_params[len(neg_params)] + "n", avoid0))
-        avoid0.add(neg_params[-1])
-    while len(pos_params) < len(neg_params):
-        pos_params.append(fresh(neg_params[len(pos_params)] + "p", avoid0))
-        avoid0.add(pos_params[-1])
-    for nm in neg_params:
-        if polarity(body, nm).positive:
-            raise PolarityViolation(
-                f"parameter {nm!r} must occur only negatively")
-    for nm in pos_params:
-        if polarity(body, nm).negative:
-            raise PolarityViolation(
-                f"parameter {nm!r} must occur only positively")
-    swap: dict[str, Type] = {}
-    for nn, pp_ in zip(neg_params, pos_params):
-        swap[nn] = TyVar(pp_)
-        swap[pp_] = TyVar(nn)
-    parts = _rec_parts(var, body, swap)
+    parts = _rec_parts("rec_params", var, body, neg_params, pos_params)
+    neg_params, pos_params = parts.neg_params, parts.pos_params
     s4, n, p = parts.split_body, parts.neg_var, parts.pos_var
     tau, tau_p = parts.tau, parts.tau_prime
-    for nm in neg_params:
-        if polarity(tau, nm).positive:
-            raise PolarityViolation(f"{nm!r} occurs positively in the result")
-        if polarity(tau_p, nm).negative:
-            raise PolarityViolation(
-                f"{nm!r} occurs negatively in the companion")
-    for nm in pos_params:
-        if polarity(tau, nm).negative:
-            raise PolarityViolation(f"{nm!r} occurs negatively in the result")
-        if polarity(tau_p, nm).positive:
-            raise PolarityViolation(
-                f"{nm!r} occurs positively in the companion")
-
-    params = list(neg_params) + list(pos_params)
-    mu_bundle_body = S.subst_type_in_type(s4, n, tau_p)
-    in_ = mu_in(p, mu_bundle_body)
-    out, _ = nu_out(parts.a, parts.phi)
-
-    b = EncodingBundle("rec_params", tau)
-    b.combinators["into"] = (
-        S.ty_lams(params, in_),
-        S.foralls(params, Lolli(S.subst_types(s4, {n: tau_p, p: tau}), tau)))
-    b.combinators["outof"] = (
-        S.ty_lams(params, out),
-        S.foralls(params, Lolli(tau_p, S.subst_types(
-            s4, {**swap, n: tau, p: tau_p}))))
+    params = neg_params + pos_params
 
     # the parameterized mixed rule, with premises phrased through in/out
     omp, omp2, omm, omm2 = [], [], [], []
@@ -801,30 +757,17 @@ def encode_rec_params(neg_params: list[str], pos_params: list[str],
     rel_for = {**{nm: r for nm, r in zip(neg_params, rp_vars)},
                **{nm: r for nm, r in zip(pos_params, rm_vars)}}
 
-    def interp(ty: Type, extra: dict[str, S.Relation]) -> S.Relation:
-        table = {**rel_for, **extra}
-        names = free_type_names(ty)
-        return R.type_rel_interp(ty, [table[nm] for nm in names])
-
-    in_l, in_r = S.subst_types(in_, left), S.subst_types(in_, right)
-    out_l, out_r = S.subst_types(out, left), S.subst_types(out, right)
-    premise_in = S.RelApp(
-        R.lolli_rel(interp(s4, {n: sp_var, p: sm_var}), sm_var), in_l, in_r)
+    in_l, out_l = [S.subst_types(t, left) for t in (parts.in_, parts.out)]
+    in_r, out_r = [S.subst_types(t, right) for t in (parts.in_, parts.out)]
+    premise_in = S.RelApp(R.lolli_rel(R.interp_with(
+        s4, {**rel_for, n: sp_var, p: sm_var}), sm_var), in_l, in_r)
     # out's codomain swaps the parameter slots
-    out_cod = S.subst_types(s4, {**swap, n: tau, p: tau_p})
-    premise_out = S.RelApp(
-        R.lolli_rel(sp_var, interp(out_cod, {n: sm_var, p: sp_var})),
-        out_l, out_r)
-    rec_rel_minus = interp(tau, {})
-    rec_rel_plus = interp(tau_p, {})
-
-    def subset(r1, r2, d1, d2):
-        return S.forall_tm_p(xn, d1, S.forall_tm_p(yn, d2, S.Implies(
-            S.RelApp(r1, S.Var(xn), S.Var(yn)),
-            S.RelApp(r2, S.Var(xn), S.Var(yn)))))
-
-    concl = S.And(subset(sm_var, rec_rel_minus, t_l, t_r),
-                  subset(rec_rel_plus, sp_var, tp_l, tp_r))
+    out_cod = S.subst_types(s4, {**parts.swap, n: tau, p: tau_p})
+    premise_out = S.RelApp(R.lolli_rel(sp_var, R.interp_with(
+        out_cod, {**rel_for, n: sm_var, p: sp_var})), out_l, out_r)
+    concl = S.And(
+        _subset(sm_var, R.interp_with(tau, rel_for), t_l, t_r, xn, yn),
+        _subset(R.interp_with(tau_p, rel_for), sp_var, tp_l, tp_r, xn, yn))
     prop = S.Implies(S.And(premise_in, premise_out), concl)
     prop = S.forall_rel_p(sm, t_l, t_r, Flavor.REL, prop)
     prop = S.forall_rel_p(sp, tp_l, tp_r, Flavor.ADMREL, prop)
@@ -834,6 +777,7 @@ def encode_rec_params(neg_params: list[str], pos_params: list[str],
         prop = S.forall_rel_p(rn2, TyVar(o1), TyVar(o2), Flavor.ADMREL, prop)
     for o in reversed(omp + omp2 + omm + omm2):
         prop = S.forall_ty_p(o, prop)
+    b = parts.bundle
     b.schema_laws.append(("parameterized_mixed_rule", R.prop_beta(prop)))
     return b
 
@@ -859,9 +803,10 @@ class BundleReport:
 def verify_bundle(b: EncodingBundle,
                   cfg: RewriteConfig | None = None) -> BundleReport:
     """Typecheck every combinator, replay every beta law, and check every
-    schema law is a well-formed proposition."""
+    schema law is a well-formed proposition, all under the defined
+    type's free type variables, the bundle's parameters."""
     cfg = cfg or RewriteConfig()
-    ctx = TermContext()
+    ctx = TermContext(tuple(free_type_names(b.defined_type)))
     combs: dict[str, bool] = {}
     for name, (term, ty) in b.combinators.items():
         try:
@@ -875,7 +820,7 @@ def verify_bundle(b: EncodingBundle,
     schemas: dict[str, bool] = {}
     for name, prop in b.schema_laws:
         try:
-            R.check_prop((), {}, S.RelContext(), prop)
+            R.check_prop(ctx.xi, {}, S.RelContext(), prop)
             schemas[name] = True
         except (R.FormationError, R.PurityError, TypeCheckError):
             schemas[name] = False

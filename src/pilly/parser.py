@@ -8,7 +8,8 @@ Declarations:
     rel NAME = RELATION                (definition)
 
 Directives: #check t | #normalize t | #equal t == u | #admissible R
-            | #schema KIND PAYLOAD.  Any other `#` starts a line comment,
+            | #schema KIND PAYLOAD.  A `#` directly followed by a letter
+            starts a directive; any other `#` starts a line comment,
             which the tokenizer skips with the whitespace.
 
 The parser builds nameless syntax as it reads: it keeps the names bound
@@ -29,19 +30,19 @@ from typing import NamedTuple, Optional
 from . import syntax as S
 from .syntax import Flavor, Span
 
-DIRECTIVES = ("check", "normalize", "equal", "admissible", "schema")
 KEYWORDS = {"all", "ex", "fn", "lam", "let", "in", "Y", "I", "T", "F",
             "Rel", "AdmRel", "term", "type", "rel"}
 
-_DIR = "(?:" + "|".join(DIRECTIVES) + r")(?![\w'])"
-# One match skips blanks and comment lines, then reads at most one token.
+# One match skips blanks and comments, then reads at most one token.  A
+# `#` directly followed by a letter is a directive, whatever its name, so
+# a misspelt one reaches the parser; any other `#` starts a comment.
 # An identifier starts with a letter or `_` and goes on with letters,
 # digits, `_` and `'`; `other` catches the non-ASCII starts that `\w`
 # admits, and tokenize rejects those that are not letters.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|\#(?!" + _DIR + r")[^\n]*)*"
+    r"(?:[ \t\r\n]+|\#(?![^\W\d_])[^\n]*)*"
     r"(?:(?P<ident>[A-Za-z_][\w']*)"
-    r"|\#(?P<dir>" + _DIR + ")"
+    r"|\#(?P<dir>[^\W\d_][\w']*)"
     r"|(?P<sym>\(\*\)|-o|->|/\\|\\/|=>|==|=_|<>|[][(){}.,:=*!+01-])"
     r"|(?P<other>[^\W\d][\w']*))?")
 

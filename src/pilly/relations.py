@@ -253,7 +253,7 @@ def tensor_rel(rel: Relation, rel2: Relation) -> Compr:
     a, b, rn = fresh_many(["a", "b", "R"], avoid)
     rv = RelVar(rn, TyVar(a), TyVar(b), Flavor.ADMREL)
     inner = lolli_rel(lolli_rel(rel, lolli_rel(rel2, rv)), rv)
-    x, y, xp, xq, h = fresh_many(["x", "y", "x'", "x''", "h"], avoid | {a, b, rn})
+    x, xp, xq, h = fresh_many(["x", "x'", "x''", "h"], avoid | {a, b, rn})
 
     def embed(u: Type, v: Type) -> S.Term:
         # fn z:u*v. let x' (*) x'' = z in /\c. fn h:u -o v -o c. h x' x''
@@ -325,6 +325,13 @@ def type_rel_interp(ty: Type, args: list[Relation]) -> Relation:
             f"type has {len(names)} free variable(s), got {len(args)} "
             "relation(s)")
     return _unfold(ty, dict(zip(names, args)))
+
+
+def interp_with(ty: Type, rel_for: dict[str, Relation]) -> Relation:
+    """ty's relational interpretation at rel_for[a] for each free type
+    variable a that rel_for maps, and at eq_rel(a) for every other."""
+    return _unfold(ty, {n: rel_for[n] if n in rel_for else eq_rel(TyVar(n))
+                        for n in free_type_names(ty)})
 
 
 def _unfold(ty: Type, mapping: dict[str, Relation]) -> Relation:
@@ -471,7 +478,7 @@ def _derive_body(x: str, tyx: Type, y: str, tyy: Type,
 def _derive_relapp(x, tyx, y, tyy, lhs, rhs, env,
                    inner: Derivation | None) -> Derivation | None:
     """A relation application's derivation, given its relation's."""
-    xi, gamma, theta = env
+    xi, gamma, _ = env
     if inner is None:
         return None
     if lhs == S.Var(x) and rhs == S.Var(y):
@@ -511,19 +518,12 @@ class PurityError(Exception):
     pass
 
 
-def _interp_with(ty: Type, rel_for: dict[str, Relation]) -> Relation:
-    names = free_type_names(ty)
-    return type_rel_interp(ty, [rel_for[n] for n in names])
-
-
 def identity_extension_instance(ty: Type) -> Proposition:
     """all as. ty[eq_as] == eq_ty, as a biimplication of applications."""
     names = free_type_names(ty)
-    rel_for = {n: eq_rel(TyVar(n)) for n in names}
-    interp = _interp_with(ty, rel_for)
+    interp = interp_with(ty, {})
     eq = eq_rel(ty)
-    avoid = set(names) | set(free_type_names(ty))
-    x, y = fresh_many(["x", "y"], avoid)
+    x, y = fresh_many(["x", "y"], names)
     body = forall_tm_p(x, ty, forall_tm_p(y, ty, And(
         Implies(RelApp(interp, S.Var(x), S.Var(y)),
                 RelApp(eq, S.Var(x), S.Var(y))),
@@ -540,9 +540,8 @@ def parametricity_schema_instance(var: str, body_ty: Type) -> Proposition:
     others = [n for n in free_type_names(body_ty) if n != var]
     avoid = set(others) | {var}
     b, b2, rn, u = fresh_many([var, var + "'", "R", "u"], avoid)
-    rel_for: dict[str, Relation] = {n: eq_rel(TyVar(n)) for n in others}
-    rel_for[var] = RelVar(rn, TyVar(b), TyVar(b2), Flavor.ADMREL)
-    interp = _interp_with(body_ty, rel_for)
+    interp = interp_with(
+        body_ty, {var: RelVar(rn, TyVar(b), TyVar(b2), Flavor.ADMREL)})
     poly = forall(var, body_ty)
     prop = forall_tm_p(u, poly, forall_ty_p(b, forall_ty_p(b2, forall_rel_p(
         rn, TyVar(b), TyVar(b2), Flavor.ADMREL,
@@ -584,9 +583,9 @@ def lrl_statement(t: S.Term, ctx: TermContext | None = None) -> Proposition:
     t2 = S.subst_types(S.subst_terms(t, ren_tm), ren_ty)
     prem = None
     for x, y, sigma in pairs:
-        p = RelApp(_interp_with(sigma, rel_for), S.Var(x), S.Var(y))
+        p = RelApp(interp_with(sigma, rel_for), S.Var(x), S.Var(y))
         prem = p if prem is None else And(prem, p)
-    concl = RelApp(_interp_with(tau, rel_for), t, t2)
+    concl = RelApp(interp_with(tau, rel_for), t, t2)
     body = concl if prem is None else Implies(prem, concl)
     for x, y, sigma in reversed(pairs):
         body = forall_tm_p(y, S.subst_types(sigma, ren_ty), body)

@@ -162,6 +162,13 @@ class TestCheck:
         assert rc == 1
         assert lines[-1]["message"].startswith("UnboundVariable: ")
 
+    def test_misspelt_directive_is_a_located_error(self, write, capsys):
+        """`#` directly followed by a letter is a directive, so a
+        misspelt one is reported, not skipped as a comment."""
+        f = write("typo.pilly", "term a = <>\n#eqaul a == fn x:I. x\n")
+        assert main(["check", f]) == 1
+        assert "2:1: unknown directive 'eqaul'" in capsys.readouterr().out
+
     def test_check_prints_inferred_type_of_y(self, write, capsys):
         f = write("y.pilly", "term y2 = Y\n#check y2\n")
         assert main(["check", f]) == 0
@@ -358,6 +365,24 @@ class TestEncode:
         assert main(["encode", *argv]) == 1
         assert capsys.readouterr().out.strip() == \
             f"[FAIL] encode {' '.join(argv)} -- {message}"
+
+    @pytest.mark.parametrize("argv", [
+        ["mu", "b + a"], ["nu", "b * a"], ["mu", "I"], ["mu", "all a. a"],
+        ["iso-self", "b"], ["tensor", "b", "I"], ["sum", "b", "I"],
+        ["product", "b", "I"], ["exists", "a * b"], ["rec", "b + a"],
+    ])
+    def test_type_parameters(self, argv, capsys):
+        """Any other free type variable of an argument is a parameter:
+        the bundle is checked under it, not rejected or crashed on."""
+        schema = json.loads(
+            (pathlib.Path(__file__).parent.parent / "src" / "pilly"
+             / "report-schema.json").read_text())
+        assert main(["encode", *argv]) == 0
+        assert capsys.readouterr().out.startswith("[ok] encode")
+        rc, lines = run_json(["encode", *argv], capsys)
+        assert rc == 0 and [e["status"] for e in lines] == ["ok"]
+        for e in lines:
+            jsonschema.validate(e, schema)
 
     def test_bad_polarity(self, capsys):
         assert main(["encode", "mu", "a -o a"]) == 1

@@ -7,7 +7,7 @@ import pytest
 from pilly import encodings as E
 from pilly import relations as RL
 from pilly import syntax as S
-from pilly.parser import parse_file, parse_type
+from pilly.parser import parse_encode_type, parse_file, parse_type
 from pilly.pretty import pp
 from pilly.rewrite import Equal, RewriteConfig, equal
 from pilly.syntax import Lolli, RelContext, TermContext, Tensor, TyVar, Unit
@@ -198,6 +198,8 @@ class TestRecParams:
         with_params = E.encode_rec_params([], [], "a", body)
         plain = E.encode_rec("a", body)
         assert with_params.defined_type == plain.defined_type
+        for name in ("into", "outof"):
+            assert with_params.combinators[name] == plain.combinators[name]
 
     def test_mixed_parameter_rejected(self):
         with pytest.raises(E.PolarityViolation):
@@ -267,10 +269,44 @@ class TestCatalogFreshness:
             assert (cat / fname).read_text() == text, fname
 
 
+# One encoding per kind and shape, with a type parameter spelt {}.
+PARAM_SHAPES = {
+    "iso-self": lambda p: E.encode_iso_self(parse_encode_type(p)),
+    "tensor": lambda p: E.encode_tensor(parse_encode_type(p), Unit()),
+    "sum": lambda p: E.encode_sum(parse_encode_type(p), Unit()),
+    "product": lambda p: E.encode_product(parse_encode_type(p), Unit()),
+    "exists": lambda p: E.encode_exists("a", parse_encode_type(f"a * {p}")),
+    "mu": lambda p: E.encode_mu("a", parse_encode_type(f"{p} + a")),
+    "nu": lambda p: E.encode_nu("a", parse_encode_type(f"{p} * a")),
+    "rec": lambda p: E.encode_rec("a", parse_encode_type(f"{p} + a")),
+    "rec-mixed": lambda p: E.encode_rec(
+        "a", parse_encode_type(f"a -o {p} * a")),
+    "rec-params-pos": lambda p: E.encode_rec_params(
+        [], [p], "a", parse_encode_type(f"{p} * a")),
+    "rec-params-neg": lambda p: E.encode_rec_params(
+        [p], [], "a", parse_encode_type(f"({p} -o I) * a")),
+}
+# Names the generators also pick for their own binders.
+PARAM_NAMES = ["b", "c", "q2", "t", "f", "x", "y", "h", "u", "w", "w'",
+               "an", "ap", "a1", "Rm", "Rp", "a_c", "s", "z"]
+
+
 class TestVerifyBundle:
     def test_catalog_bundles_verify(self):
         for key, b in E.catalog().items():
             assert E.verify_bundle(b, CFG).ok, key
+
+    @pytest.mark.parametrize("shape", PARAM_SHAPES)
+    def test_type_parameters_of_every_name(self, shape):
+        """A bundle with a type parameter verifies, and no binder of the
+        generator captures the parameter: it stays free in every
+        combinator's type, except in rec_params, which closes over it."""
+        for p in PARAM_NAMES:
+            b = PARAM_SHAPES[shape](p)
+            assert E.verify_bundle(b, CFG).ok, p
+            for name, (_, ty) in b.combinators.items():
+                free = p in S.free_type_names(ty)
+                assert free != (b.name == "rec_params"), (p, name)
 
     def test_ill_typed_combinator_is_reported(self):
         b = E.encode_unit()

@@ -192,8 +192,9 @@ class TestTokenizer:
         text = "a # one\n#checkx two\n#check b #equal'\n#"
         toks = tokenize(text)
         assert [(t.kind, t.text, t.span) for t in toks] == [
-            ("ident", "a", Span(0, 1)), ("dir", "check", Span(20, 26)),
-            ("ident", "b", Span(27, 28)),
+            ("ident", "a", Span(0, 1)), ("dir", "checkx", Span(8, 15)),
+            ("ident", "two", Span(16, 19)), ("dir", "check", Span(20, 26)),
+            ("ident", "b", Span(27, 28)), ("dir", "equal'", Span(29, 36)),
             ("eof", "", Span(len(text), len(text)))]
 
     def test_symbols_take_the_longest_match(self):

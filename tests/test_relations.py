@@ -16,7 +16,7 @@ from pilly.relations import (Derivation, FormationError, PurityError,
                              RelJudgement, arrow_rel, bang_rel, check_prop,
                              check_relation, closure_phi, derive_admissible,
                              eq_rel, graph_rel, identity_extension_instance,
-                             lolli_rel, lrl_statement,
+                             interp_with, lolli_rel, lrl_statement,
                              parametricity_schema_instance, prop_beta,
                              reindex, tensor_rel, type_rel_interp, unit_rel)
 from pilly.syntax import (Flavor, Lolli, RelContext, RelVar, TermContext,
@@ -116,6 +116,11 @@ class TestTypeRelInterp:
     def test_opaque_constant_stays(self):
         got = type_rel_interp(TyConst("lists", (TyVar("a"),)), [RAW])
         assert isinstance(got, S.TypeRel)
+
+    def test_interp_with_interprets_unmapped_variables_by_equality(self):
+        ty = parse_type("b * a -o b")
+        assert interp_with(ty, {"a": RAW}) == \
+            type_rel_interp(ty, [eq_rel(TyVar("b")), RAW])
 
     def test_arity_mismatch(self):
         with pytest.raises(FormationError):
