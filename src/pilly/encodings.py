@@ -790,7 +790,7 @@ def encode_rec_params(neg_params: list[str], pos_params: list[str],
 class BundleReport:
     name: str
     combinators: dict[str, bool]
-    beta: dict[str, EqResult]
+    beta: dict[str, EqResult | TypeCheckError]  # or why a law is ill-typed
     schemas: dict[str, bool]
 
     @property
@@ -814,9 +814,12 @@ def verify_bundle(b: EncodingBundle,
             combs[name] = True
         except TypeCheckError:
             combs[name] = False
-    beta: dict[str, EqResult] = {}
+    beta: dict[str, EqResult | TypeCheckError] = {}
     for name, lhs, rhs in b.beta_laws:
-        beta[name] = equal(lhs, rhs, cfg, ctx=ctx)
+        try:
+            beta[name] = equal(lhs, rhs, cfg, ctx=ctx)
+        except TypeCheckError as e:
+            beta[name] = e
     schemas: dict[str, bool] = {}
     for name, prop in b.schema_laws:
         try:

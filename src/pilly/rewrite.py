@@ -8,9 +8,12 @@ the same contractions in the same order but resumes in place after each
 one instead of searching again from the root, and its fuel counts those
 leftmost-outermost steps.  Let hoisting is one rule over `_HOIST`, a
 table of positions built from `syntax.CHILDREN`; it never crosses a
-binder or a '!', so no scope side conditions arise.  Unrolling the
-fixed-point combinator is a separate operation that `equal` may spend an
-explicit budget on; `normalize` never unrolls.
+binder or a '!', so no scope side conditions arise.  A let in such a
+position that is a beta redex is contracted where it stands, in one
+step: hoisting it and then contracting it gives the same term, and no
+other redex fires in between, so normal forms do not change.
+Unrolling the fixed-point combinator is a separate operation that
+`equal` may spend an explicit budget on; `normalize` never unrolls.
 """
 
 from __future__ import annotations
@@ -116,11 +119,15 @@ _HOIST = {cls: tuple((pos, tuple((name, tm) for name, sort, _, tm, _
 def _hoist(t: Term) -> Term | None:
     """Pull a let out of the first position that holds one: its body takes
     that place, the parent's other term children move under its binders,
-    and the rebuilt parent becomes its body."""
+    and the rebuilt parent becomes its body.  A let that is a beta redex
+    is contracted in that place instead, into the term hoisting gives."""
     for pos, siblings in _HOIST.get(type(t), ()):
         let_ = getattr(t, pos)
         k = _LET_K.get(type(let_))
         if k is not None:
+            r = _beta(let_)
+            if r is not None:
+                return rebuild(t, {pos: r})
             changes = {name: shift(getattr(t, name), tm_by=k, md=md)
                        for name, md in siblings}
             changes[pos] = let_.body

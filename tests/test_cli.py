@@ -384,6 +384,31 @@ class TestEncode:
         for e in lines:
             jsonschema.validate(e, schema)
 
+    def test_ill_typed_beta_law_fails_the_bundle(self, monkeypatch, capsys):
+        """A generator bug that makes a law ill-typed fails that law; it
+        is not an internal error."""
+        import pilly.cli as cli
+        from pilly import encodings as E
+        from pilly.parser import parse_term
+
+        def faulty():
+            b = E.encode_unit()
+            b.beta_laws.append(("ill_typed", parse_term("<> <>"),
+                                parse_term("<>")))
+            return b
+
+        monkeypatch.setitem(cli._ENCODINGS, "unit", (0, faulty))
+        schema = json.loads(
+            (pathlib.Path(__file__).parent.parent / "src" / "pilly"
+             / "report-schema.json").read_text())
+        assert main(["encode", "unit"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("[FAIL] encode") and "failed: ill_typed" in out
+        rc, lines = run_json(["encode", "unit"], capsys)
+        assert rc == 1 and [e["status"] for e in lines] == ["error"]
+        for e in lines:
+            jsonschema.validate(e, schema)
+
     def test_bad_polarity(self, capsys):
         assert main(["encode", "mu", "a -o a"]) == 1
         assert "only positively" in capsys.readouterr().out

@@ -67,6 +67,19 @@ class TestStep:
         assert got == parse_term("fn z:I. " + want)
         assert pp(got) == "fn z:I. " + want
 
+    @pytest.mark.parametrize("src,want", [
+        (shape.format(L=let), shape.format(L=contractum))
+        for shape, _ in _HOISTS
+        for let, contractum in (("let <> = <> in f z", "f z"),
+                                ("let x (*) y = (h z) (*) z in x y z",
+                                 "h z z z"),
+                                ("let !x = !(h z) in x z", "h z z"))])
+    def test_redex_let_contracts_in_place(self, src, want):
+        # in one step, the term that hoisting the let and then
+        # contracting it gives
+        got = step(parse_term("fn z:I. " + src))
+        assert got == parse_term("fn z:I. " + want)
+
     def test_beta_term(self):
         t = parse_term("(fn x:I. x) <>")
         assert step(t) == S.Star()
@@ -318,7 +331,7 @@ ETA_EXPOSED = [
     (parse_term("fn x:I. f ((fn w:I. w) x)"), "f", 2),
     (parse_term("let x (*) y = t in ((fn w:I. w) x) (*) y"), "t", 2),
     (_eta_blocked_by(_DROP_X), "f !z", 2),
-    (_eta_blocked_by(S.TensorPair(S.Star(), _DROP_X)), "f !(<> (*) z)", 3),
+    (_eta_blocked_by(S.TensorPair(S.Star(), _DROP_X)), "f !(<> (*) z)", 2),
     (_eta_blocked_by(S.BangIntro(S.BangIntro(_DROP_X))), "f !!!z", 2),
     (_ty_eta_blocked_by(_DROP_A), "f !(fn w:I. w)", 2),
     (_ty_eta_blocked_by(S.BangIntro(S.App(S.Var("g"), _DROP_A))),
@@ -333,15 +346,28 @@ ETA_EXPOSED = [
 ]
 
 
+def _stick_lets(t, rng):
+    """t with about 40% of its let scrutinees replaced by context variables:
+    those lets are stuck and get hoisted, among lets contracted in place."""
+    changes = {name: _stick_lets(getattr(t, name), rng)
+               for name, sort, *_ in S.CHILDREN.get(type(t), ())
+               if sort is S.Term}
+    if isinstance(t, (S.LetStar, S.LetTensor, S.LetBang)) \
+            and rng.random() < 0.4:
+        changes["scrut"] = S.Var(rng.choice(["gi", "gj", "dx", "dy"]))
+    return S.rebuild(t, changes) if changes else t
+
+
 class TestResumingNormalizer:
     @pytest.mark.parametrize("eta", [True, False])
     def test_fuzz_corpus_matches_step_loop(self, eta):
-        rng = random.Random(44)
-        steps = 0
+        rng, stick = random.Random(44), random.Random(45)
+        steps = stuck_steps = 0
         for _ in range(200):
             _, t, _ = gen_well_typed(rng, rng.choice([3, 4, 5, 6]))
             steps += assert_like_step_loop(t, eta)
-        assert steps > 500
+            stuck_steps += assert_like_step_loop(_stick_lets(t, stick), eta)
+        assert steps > 500 and stuck_steps > 500
 
     def test_catalog_laws_match_step_loop(self):
         from pilly import encodings as E
@@ -350,8 +376,8 @@ class TestResumingNormalizer:
                 assert_like_step_loop(lhs)
                 assert_like_step_loop(rhs)
 
-    @pytest.mark.parametrize("k, steps", [(0, 0), (1, 8), (2, 15), (7, 70),
-                                          (20, 330), (60, 2190)])
+    @pytest.mark.parametrize("k, steps", [(0, 0), (1, 6), (2, 10), (7, 35),
+                                          (20, 100), (60, 300)])
     def test_numerals_match_step_loop(self, k, steps):
         from pilly import encodings as E
         assert assert_like_step_loop(E.numeral(k)) == steps
