@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -422,6 +422,7 @@ def cmd_schema(args, cfg: Config) -> RunReport:
 # Entry point
 
 
+@cache  # built once per process, on first use
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pilly",

@@ -1,14 +1,16 @@
 """Definable relations, admissibility derivations and schema generators.
 
 Relations are comprehensions, relation variables, or relational
-interpretations of types; their formation is checked on the type
-checker's binder stack.  The derived constructions (graph, reindexing,
-the per-type-constructor constructions, the admissible closure) produce
-comprehensions kept in beta-normal form by `prop_beta`, one walk over
-the child table for relations and propositions alike: a comprehension
-applied to arguments is unfolded, terms inside propositions are
-normalized by the rewriter, and a subtree already in normal form is kept
-as the same object, cached loose bounds and free names included.
+interpretations of types, which stay folded as ty[rho] (`interp_with`)
+until a consumer unfolds one layer (`unfold`, `type_rel_interp`); their
+formation is checked on the type checker's binder stack.  The derived
+constructions (graph, reindexing, the per-type-constructor
+constructions, the admissible closure) produce comprehensions kept in
+beta-normal form by `prop_beta`, one walk over the child table for
+relations and propositions alike: a comprehension applied to arguments
+is unfolded, terms inside propositions are normalized by the rewriter,
+and a subtree already in normal form is kept as the same object, cached
+loose bounds and free names included.
 """
 
 from __future__ import annotations
@@ -317,53 +319,55 @@ def closure_phi(rel: Relation) -> Compr:
 
 
 def type_rel_interp(ty: Type, args: list[Relation]) -> Relation:
-    """sigma[rho...]: structural unfolding over ty's free type variables
-    (first-occurrence order).  Opaque constants stay as TypeRel nodes."""
+    """sigma[rho...] unfolded one layer, with args for ty's free type
+    variables in first-occurrence order."""
     names = free_type_names(ty)
     if len(names) != len(args):
-        raise FormationError(
-            f"type has {len(names)} free variable(s), got {len(args)} "
-            "relation(s)")
+        raise FormationError(f"type has {len(names)} free variable(s), "
+                             f"got {len(args)} relation(s)")
     return _unfold(ty, dict(zip(names, args)))
 
 
+def unfold(r: TypeRel) -> Relation:
+    """One layer of the fold r, its slots opened at fresh type names."""
+    names = fresh_many(r.hints, S.all_free_names(r))
+    return _unfold(S.instantiate_ty(r.body, *map(TyVar, names)),
+                   dict(zip(names, r.args)))
+
+
 def interp_with(ty: Type, rel_for: dict[str, Relation]) -> Relation:
-    """ty's relational interpretation at rel_for[a] for each free type
-    variable a that rel_for maps, and at eq_rel(a) for every other."""
-    return _unfold(ty, {n: rel_for[n] if n in rel_for else eq_rel(TyVar(n))
-                        for n in free_type_names(ty)})
+    """ty's relational interpretation, folded as ty[rho]: at rel_for[a]
+    for each free type variable a that rel_for maps, and at eq_rel(a)
+    for every other.  A bare variable is its relation; a closed type
+    folds to ty[].  `unfold` exposes one layer on demand."""
+    names = free_type_names(ty)
+    args = [rel_for[n] if n in rel_for else eq_rel(TyVar(n)) for n in names]
+    return args[0] if isinstance(ty, TyVar) else type_rel(names, ty, args)
 
 
 def _unfold(ty: Type, mapping: dict[str, Relation]) -> Relation:
-    if isinstance(ty, TyVar):
-        if ty.name in mapping:
-            return mapping[ty.name]
-        raise FormationError(f"unbound variable {ty.name!r} in interpretation")
+    """The construction for ty's top constructor over its folded
+    components; a variable is its relation and an opaque constant stays
+    folded."""
     if isinstance(ty, Unit):
         return unit_rel()
     if isinstance(ty, Lolli):
-        return lolli_rel(_unfold(ty.dom, mapping), _unfold(ty.cod, mapping))
+        return lolli_rel(interp_with(ty.dom, mapping),
+                         interp_with(ty.cod, mapping))
     if isinstance(ty, Tensor):
-        return tensor_rel(_unfold(ty.left, mapping), _unfold(ty.right, mapping))
+        return tensor_rel(interp_with(ty.left, mapping),
+                          interp_with(ty.right, mapping))
     if isinstance(ty, Bang):
-        return bang_rel(_unfold(ty.body, mapping))
+        return bang_rel(interp_with(ty.body, mapping))
     if isinstance(ty, Forall):
-        used = set(mapping) | set(free_type_names(ty))
-        for r in mapping.values():
-            used |= S.all_free_names(r)
-        a = fresh(ty.hint, used)
-        b = fresh(ty.hint + "'", used | {a})
-        rn = fresh("R", used | {a, b})
+        used = set(mapping).union(free_type_names(ty),
+                                  *map(S.all_free_names, mapping.values()))
+        a, b, rn = fresh_many([ty.hint, ty.hint + "'", "R"], used)
+        # the domain side opens at a, the codomain side at b
+        rv = RelVar(rn, TyVar(a), TyVar(b), Flavor.ADMREL)
         opened = S.instantiate_ty(ty.body, TyVar(a))
-        # codomain side uses the second fresh variable
-        inner = _unfold(opened, {**mapping,
-                                 a: RelVar(rn, TyVar(a), TyVar(b),
-                                           Flavor.ADMREL)})
-        return forall_rel(a, b, rn, inner)
-    if isinstance(ty, TyConst):
-        sub_names = free_type_names(ty)
-        return type_rel(sub_names, ty, [mapping[n] for n in sub_names])
-    raise FormationError(f"cannot interpret type {ty!r}")
+        return forall_rel(a, b, rn, interp_with(opened, {**mapping, a: rv}))
+    return interp_with(ty, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +405,12 @@ def _derive(r: Relation, env) -> Derivation | None:
             return Derivation("admissible-variable", r.name)
         return None
     if isinstance(r, TypeRel):
-        kids = []
-        for a in r.args:
-            d = _derive(a, env)
-            if d is None:
-                return None
-            kids.append(d)
+        # an opaque constant needs admissible arguments; any other fold
+        # is derived through its unfolding
+        kids = [_derive(a, env) for a in r.args] \
+            if isinstance(r.body, TyConst) else [_derive(unfold(r), env)]
+        if None in kids:
+            return None
         return Derivation("type-interpretation", print_rel(r), kids)
     if isinstance(r, Compr):
         avoid = set(xi) | set(gamma) | set(theta) | S.all_free_names(r)
@@ -421,13 +425,9 @@ def _derive_body(x: str, tyx: Type, y: str, tyy: Type,
     if isinstance(body, Top):
         return Derivation("truth")
     if isinstance(body, And):
-        l = _derive_body(x, tyx, y, tyy, body.left, env)
-        if l is None:
-            return None
-        r = _derive_body(x, tyx, y, tyy, body.right, env)
-        if r is None:
-            return None
-        return Derivation("conjunction", children=[l, r])
+        kids = [_derive_body(x, tyx, y, tyy, q, env)
+                for q in (body.left, body.right)]
+        return None if None in kids else Derivation("conjunction", "", kids)
     if isinstance(body, Implies):
         if {x, y} & set(free_term_names(body.left)):
             return None
@@ -559,10 +559,7 @@ def lrl_statement(t: S.Term, ctx: TermContext | None = None) -> Proposition:
                                   for ty in list(ctx.gamma.values())
                                   + list(ctx.delta.values())):
         raise PurityError("term or context mentions signature constants")
-    res = infer_type(ctx, t)
-    tau = res.ty
-    if not ctx.xi and not ctx.gamma and not ctx.delta:
-        return prop_beta(RelApp(type_rel_interp(tau, []), t, t))
+    tau = infer_type(ctx, t).ty
     alphas = list(ctx.xi)
     avoid = (set(alphas) | set(ctx.gamma) | set(ctx.delta)
              | S.all_free_names(t))
@@ -585,7 +582,7 @@ def lrl_statement(t: S.Term, ctx: TermContext | None = None) -> Proposition:
     for x, y, sigma in pairs:
         p = RelApp(interp_with(sigma, rel_for), S.Var(x), S.Var(y))
         prem = p if prem is None else And(prem, p)
-    concl = RelApp(interp_with(tau, rel_for), t, t2)
+    concl = RelApp(_unfold(tau, rel_for), t, t2)
     body = concl if prem is None else Implies(prem, concl)
     for x, y, sigma in reversed(pairs):
         body = forall_tm_p(y, S.subst_types(sigma, ren_ty), body)

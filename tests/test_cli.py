@@ -194,6 +194,20 @@ class TestJson:
         for line in capsys.readouterr().out.strip().splitlines():
             jsonschema.validate(json.loads(line), schema)
 
+    def test_options_do_not_leak_between_calls(self, write, capsys):
+        """The argument parser is built once per process; each call
+        still starts from the defaults."""
+        f = write("unk.pilly", UNKNOWN_EQ)
+        rc, lines = run_json(["--strict", "check", f], capsys)
+        assert rc == 1 and [e["status"] for e in lines] == ["ok", "unknown"]
+        assert main(["check", f]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and not any(ln.startswith("{") for ln in out)
+        assert main(["--json", "encode", "unit"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+        assert main(["encode", "unit"]) == 0
+        assert capsys.readouterr().out.startswith("[ok] encode unit")
+
     def test_entry_seconds_fit_in_wall_time(self, capsys):
         t0 = time.perf_counter()
         rc, entries = run_json(["check"], capsys)
