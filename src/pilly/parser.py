@@ -65,6 +65,10 @@ class ParseError(Exception):
         self.span = span
 
 
+class _Committed(Exception):
+    """Carries a ParseError past every alternative, up to `parse`."""
+
+
 def tokenize(text: str) -> list[Tok]:
     toks: list[Tok] = []
     add, new = toks.append, tuple.__new__  # Tok(...) would run Python code
@@ -234,6 +238,8 @@ class Parser:
             return getattr(self, production)()
         except RecursionError:
             raise self.fail("nesting too deep") from None
+        except _Committed as e:
+            raise e.args[0] from None
 
     # scopes ----------------------------------------------------------------
 
@@ -551,18 +557,18 @@ class Parser:
     def _type_rel(self) -> S.Relation:
         # every type variable in `ty` is a slot, bound outside it or not
         ty = self._under("tys", None, self._ty_tensor)
-        self.expect("[")
+        start = self.expect("[").start
         args = []
         if not self.at("]"):
             args.append(self.rel())
             while self.eat(","):
                 args.append(self.rel())
-        self.expect("]")
+        end = self.expect("]").end
         names = S.free_type_names(ty)
-        if len(names) != len(args):
-            raise ParseError(
+        if len(names) != len(args):  # past `]`, no alternative applies
+            raise _Committed(ParseError(
                 f"type has {len(names)} free type variable(s) but "
-                f"{len(args)} relation(s) were supplied", self.peek().span)
+                f"{len(args)} relation(s) were supplied", Span(start, end)))
         return S.type_rel(names, ty, args)
 
     # propositions ---------------------------------------------------------

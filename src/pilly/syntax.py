@@ -23,8 +23,8 @@ first-occurrence order.  Shifting and
 instantiation return a subtree with no loose index they act on without
 walking it; closing and substitution (`close_*`, `subst_*`) return one
 that lacks the names they act on.  The free-name queries read the root's
-cache, so they cost the number of names on a cached node; `rebuild`
-drops both caches.
+cache, so they cost the number of names on a cached node.  A term node
+also holds the type checker's cache of its type; `rebuild` drops all three.
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ class Term:
     __slots__ = ()
     _lb = None  # cached loose bounds, see _loose; not a dataclass field
     _fn = None  # cached free names, see _free; not a dataclass field
+    _ty = None  # cached (type, elaboration or None), see typecheck
 
 
 @dataclass(frozen=True)
@@ -453,12 +454,13 @@ _new = object.__new__  # a global read is cheaper, and rebuild is hot
 def rebuild(n: Node, changes: dict[str, object]) -> Node:
     """`n` with the fields in `changes` replaced and every other field,
     hints and span included, kept.  Copies the instance dictionary, as
-    `copy.copy` does, without the cached loose bounds and free names."""
+    `copy.copy` does, without the cached loose bounds, free names and type."""
     new = _new(type(n))
     d = new.__dict__
     d.update(n.__dict__)
     d.pop("_lb", None)
     d.pop("_fn", None)
+    d.pop("_ty", None)
     d.update(changes)
     return new
 

@@ -94,6 +94,9 @@ class Inferencer:
     shifted when it is read under later type binders.  The consumed set
     holds the names of consumed context variables and the stack levels of
     consumed bound ones.  `relations` checks formation on these stacks.
+    `infer_type` caches a closed term's type, and its elaboration if new,
+    on the node; a hit counts where xi holds every free type name of the
+    term, and elsewhere the walk runs, so errors stay exact.
     """
 
     def __init__(self, ctx: TermContext):
@@ -102,6 +105,7 @@ class Inferencer:
         self.delta = ctx.delta
         self.tys: list[str] = []
         self.tms: list[tuple[str, Type, int, bool]] = []
+        self.read_var = False
 
     def named(self, ty: Type) -> Type:
         """`ty` with each type binder in scope named by its hint, for
@@ -124,6 +128,9 @@ class Inferencer:
         return len(self.tms) - 1
 
     def infer(self, t: S.Term) -> tuple[Type, dict, S.Term]:
+        hit = t._ty
+        if hit and all(n in self.xi for n in S.free_type_names(t)):
+            return hit[0], {}, hit[1] or t
         if isinstance(t, S.Bound):
             level = len(self.tms) - 1 - t.index
             if level < 0:
@@ -132,6 +139,7 @@ class Inferencer:
             ty = S.shift(ty, ty_by=len(self.tys) - depth)
             return ty, {level: None} if linear else {}, t
         if isinstance(t, S.Var):
+            self.read_var = True
             if t.name in self.delta:
                 return self.delta[t.name], {t.name: None}, t
             if t.name in self.gamma:
@@ -154,7 +162,8 @@ class Inferencer:
                     t.span)
             del used[x]
             return (S.Lolli(t.ty, bty), used,
-                    S.LinLam(t.hint, t.ty, belab, t.span))
+                    t if belab is t.body
+                    else S.LinLam(t.hint, t.ty, belab, t.span))
         if isinstance(t, S.App):
             fty, fused, felab = self.infer(t.fn)
             if not isinstance(fty, S.Lolli):
@@ -170,12 +179,15 @@ class Inferencer:
                     f"argument has type {self.show(aty)}, expected "
                     f"{self.show(fty.dom)}", t.span,
                     expected=self.named(fty.dom), found=self.named(aty))
-            return fty.cod, used, S.App(felab, aelab, t.span)
+            return fty.cod, used, (t if felab is t.fn and aelab is t.arg
+                                   else S.App(felab, aelab, t.span))
         if isinstance(t, S.TensorPair):
             lty, lused, lelab = self.infer(t.left)
             rty, rused, relab = self.infer(t.right)
             used = self._join(lused, rused, t.span)
-            return S.Tensor(lty, rty), used, S.TensorPair(lelab, relab, t.span)
+            return S.Tensor(lty, rty), used, (
+                t if lelab is t.left and relab is t.right
+                else S.TensorPair(lelab, relab, t.span))
         if isinstance(t, S.BangIntro):
             bty, used, belab = self.infer(t.body)
             if used:
@@ -183,13 +195,14 @@ class Inferencer:
                     LINEAR_IN_BANG,
                     f"linear variable(s) {self.show_vars(used)} consumed "
                     "under '!'", t.span)
-            return S.Bang(bty), {}, S.BangIntro(belab, t.span)
+            return S.Bang(bty), {}, (t if belab is t.body
+                                     else S.BangIntro(belab, t.span))
         if isinstance(t, S.TyLam):
             self.tys.append(t.hint)
             bty, used, belab = self.infer(t.body)
             self.tys.pop()
             return (S.Forall(t.hint, bty), used,
-                    S.TyLam(t.hint, belab, t.span))
+                    t if belab is t.body else S.TyLam(t.hint, belab, t.span))
         if isinstance(t, S.TyApp):
             fty, used, felab = self.infer(t.fn)
             if not isinstance(fty, S.Forall):
@@ -199,7 +212,7 @@ class Inferencer:
                     t.span, found=self.named(fty))
             kind_check(self.xi, t.ty, len(self.tys), t.span)
             return (S.instantiate_ty(fty.body, t.ty), used,
-                    S.TyApp(felab, t.ty, t.span))
+                    t if felab is t.fn else S.TyApp(felab, t.ty, t.span))
         if isinstance(t, S.LetStar):
             sty, sused, selab = self.infer(t.scrut)
             if not isinstance(sty, S.Unit):
@@ -209,7 +222,8 @@ class Inferencer:
                     found=self.named(sty))
             bty, bused, belab = self.infer(t.body)
             used = self._join(sused, bused, t.span)
-            return bty, used, S.LetStar(selab, belab, t.span)
+            return bty, used, (t if selab is t.scrut and belab is t.body
+                               else S.LetStar(selab, belab, t.span))
         if isinstance(t, S.LetTensor):
             sty, sused, selab = self.infer(t.scrut)
             if not isinstance(sty, S.Tensor):
@@ -237,9 +251,11 @@ class Inferencer:
                         t.span)
             del bused[x], bused[y]
             used = self._join(sused, bused, t.span)
-            elab = S.LetTensor(t.hintx, t.hinty, sty.left, sty.right, selab,
-                               belab, t.span)
-            return bty, used, elab
+            if (None in (t.tyx, t.tyy) or selab is not t.scrut
+                    or belab is not t.body):
+                t = S.LetTensor(t.hintx, t.hinty, sty.left, sty.right, selab,
+                                belab, t.span)
+            return bty, used, t
         if isinstance(t, S.LetBang):
             sty, sused, selab = self.infer(t.scrut)
             if not isinstance(sty, S.Bang):
@@ -255,8 +271,9 @@ class Inferencer:
             bty, bused, belab = self.infer(t.body)
             self.tms.pop()
             used = self._join(sused, bused, t.span)
-            elab = S.LetBang(t.hint, sty.body, selab, belab, t.span)
-            return bty, used, elab
+            if t.ty is None or selab is not t.scrut or belab is not t.body:
+                t = S.LetBang(t.hint, sty.body, selab, belab, t.span)
+            return bty, used, t
         raise TypeCheckError(ILL_KINDED, f"unrecognized term node {t!r}")
 
     def _join(self, a: dict, b: dict, span: Optional[Span]) -> dict:
@@ -272,15 +289,19 @@ class Inferencer:
 
 
 def infer_type(ctx: TermContext, t: S.Term) -> TypingResult:
-    """Infer the unique type of a term, enforcing full linear consumption."""
+    """Infer the unique type of a term, enforcing full linear consumption.
+    A success that read no context variable caches the answer on `t`."""
     validate_context(ctx)
-    ty, used, elab = Inferencer(ctx).infer(t)
+    inf = Inferencer(ctx)
+    ty, used, elab = inf.infer(t)
     leftover = [n for n in ctx.delta if n not in used]
     if leftover:
         names = ", ".join(leftover)
         raise TypeCheckError(
             LINEAR_UNUSED, f"linear variable(s) {names} not consumed",
             getattr(t, "span", None))
+    if not inf.read_var:
+        t.__dict__["_ty"] = (ty, None if elab is t else elab)
     return TypingResult(ty, elab)
 
 
@@ -311,31 +332,22 @@ def check_substitution_lemma(which: str, ctx: TermContext, t: S.Term,
     """
     if which == "linear":
         sigma = ctx.delta[x]
-        base = TermContext(ctx.xi, dict(ctx.gamma),
-                           {n: ty for n, ty in ctx.delta.items() if n != x})
         ctx_u = ctx_u or TermContext(ctx.xi, dict(ctx.gamma), {})
-        tau = infer_type(ctx, t).ty
-        u_res = infer_type(ctx_u, u)
-        if u_res.ty != sigma:
-            raise SubstitutionLemmaFailure(
-                f"replacement has type {print_type(u_res.ty)}, wanted "
-                f"{print_type(sigma)}")
-        merged = TermContext(ctx.xi, dict(ctx.gamma),
-                             {**base.delta, **ctx_u.delta})
-        result = infer_type(merged, S.subst_term_in_term(t, x, u))
-        want = tau
+        rest = {n: ty for n, ty in ctx.delta.items() if n != x}
+        target = TermContext(ctx.xi, dict(ctx.gamma), {**rest, **ctx_u.delta})
     elif which == "intuitionistic":
         sigma = ctx.gamma[x]
         gamma2 = {n: ty for n, ty in ctx.gamma.items() if n != x}
-        tau = infer_type(ctx, t).ty
-        u_res = infer_type(TermContext(ctx.xi, gamma2, {}), u)
-        if u_res.ty != sigma:
+        ctx_u = TermContext(ctx.xi, gamma2, {})
+        target = TermContext(ctx.xi, gamma2, dict(ctx.delta))
+    if which in ("linear", "intuitionistic"):
+        want = infer_type(ctx, t).ty
+        u_ty = infer_type(ctx_u, u).ty
+        if u_ty != sigma:
             raise SubstitutionLemmaFailure(
-                f"replacement has type {print_type(u_res.ty)}, wanted "
+                f"replacement has type {print_type(u_ty)}, wanted "
                 f"{print_type(sigma)}")
-        result = infer_type(TermContext(ctx.xi, gamma2, dict(ctx.delta)),
-                            S.subst_term_in_term(t, x, u))
-        want = tau
+        result = infer_type(target, S.subst_term_in_term(t, x, u))
     elif which == "type":
         if rep_ty is None:
             raise ValueError("type substitution needs rep_ty")

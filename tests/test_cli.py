@@ -105,6 +105,17 @@ class TestCheck:
         assert located and int(located.group(1)) > len("term t = ")
         assert "internal error" not in out
 
+    def test_relation_arity_error_is_not_backtracked(self, write, capsys):
+        """Once `]` closes a relational interpretation, its arity error
+        stands: no other reading of the relation replaces it."""
+        f = write("arity.pilly", "rel R : Rel(I, I)\nrel S : AdmRel(I, I)\n"
+                  "rel H = (I -o I)[R, S]\n")
+        assert main(["check", f]) == 1
+        out = capsys.readouterr().out
+        assert ("3:17: type has 0 free type variable(s) but 2 relation(s) "
+                "were supplied") in out
+        assert "expected a relation" not in out
+
     def test_synonym_does_not_capture_its_free_variables(self, write,
                                                           capsys):
         """`a` is free in Sa, and stays free where Sa is used under a
@@ -427,10 +438,13 @@ class TestEncode:
         assert main(["encode", "mu", "a -o a"]) == 1
         assert "only positively" in capsys.readouterr().out
 
-    def test_emit_bundle_rechecks(self, write, tmp_path, capsys):
+    @pytest.mark.parametrize("args", [
+        pytest.param(["mu", "1 + a"], id="mu"),
+        pytest.param(["sum", "b", "I"], id="sum-b-I", marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 11"))])
+    def test_emit_bundle_rechecks(self, write, tmp_path, capsys, args):
         out = tmp_path / "bundle.pilly"
-        assert main(["encode", "mu", "1 + a",
-                     "--emit-bundle", str(out)]) == 0
+        assert main(["encode", *args, "--emit-bundle", str(out)]) == 0
         assert main(["check", str(out)]) == 0
 
 

@@ -353,7 +353,8 @@ class TestBacktrackingIsLinear:
         for src, msg, at in (
                 ("((T)", "expected ')', found 'eof'", 4),
                 ("((R)(v, ))", "expected a proposition, found 'R'", 2),
-                ("((I[R, R]))(v, v)", "expected a proposition, found 'I'", 2),
+                ("((I[R, R]))(v, v)", "type has 0 free type variable(s) "
+                 "but 2 relation(s) were supplied", 3),
                 ("(x: I, y). T", "expected a proposition, found 'x'", 1),
                 ("all R: Rel(I, I). ((R))(v, (w)",
                  "expected a proposition, found 'R'", 20)):

@@ -255,6 +255,56 @@ def _run_lemma_instance(rng, which):
         check_substitution_lemma("type", c, t, "b", None, rep_ty=rep)
 
 
+class TestInferenceCache:
+    """A closed term's inferred type is cached on its node by the
+    `infer_type` that first types it, and read back wherever it recurs."""
+
+    def test_second_inference_reuses_type_and_elaboration(self):
+        t = parse_term("/\\a. fn p:a * I. let x (*) y = p in let <> = y in x")
+        first = infer_type(EMPTY, t)
+        second = infer_type(EMPTY, t)
+        assert second.ty == first.ty == parse_type("all a. a * I -o a")
+        assert first.term is not t and second.term is first.term
+
+    def test_hit_outside_its_type_scope_raises_as_uncached(self):
+        src = "fn x:b. x"
+        cached = parse_term(src)
+        infer_type(ctx(["b"]), cached)
+        assert cached._ty is not None
+        errors = []
+        for t in (cached, parse_term(src)):
+            with pytest.raises(TypeCheckError) as e:
+                infer_type(EMPTY, t)
+            errors.append((e.value.kind, e.value.message, e.value.span))
+        assert errors[0] == errors[1] and errors[0][0] == UNBOUND
+
+    def test_term_reading_a_variable_is_not_cached(self):
+        t = parse_term("fn y:I. f y")
+        infer_type(ctx(gamma={"f": parse_type("I -o I")}), t)
+        assert t._ty is None and t.body._ty is None
+
+    @pytest.mark.parametrize("src,c", [("(fn x:I. x) Y", EMPTY),
+                                       ("<>", ctx(delta={"x": Unit()}))])
+    def test_ill_typed_term_is_not_cached(self, src, c):
+        t = parse_term(src)
+        with pytest.raises(TypeCheckError):
+            infer_type(c, t)
+        assert t._ty is None
+
+    def test_rebuild_drops_the_cached_type(self):
+        t = parse_term("fn x:I. x")
+        infer_type(EMPTY, t)
+        assert t._ty is not None
+        assert S.rebuild(t, {})._ty is None
+
+    def test_elaboration_copies_only_to_fill_an_annotation(self):
+        t = parse_term("fn p:!I. let !x = p in x")
+        elab = infer_type(EMPTY, t).term
+        assert elab is not t and t.body.ty is None
+        assert elab.body.ty == Unit()
+        assert infer_type(EMPTY, elab).term is elab
+
+
 class TestLinearSoundness:
     def test_every_linear_variable_is_consumed(self):
         rng = random.Random(34)
