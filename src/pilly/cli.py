@@ -4,7 +4,8 @@ Commands: check, normalize, equal, encode, admissible, schema.
 `check` elaborates its files one after another, running their directives.
 `normalize`, `equal`, `admissible` and `schema` elaborate their file
 without its directives and run one directive built from their arguments,
-so each prints the line that directive prints under `check`.
+so each prints the line that directive prints under `check`.  `encode`
+elaborates `encodings.bundle_decls` in memory and prints one entry.
 Global flags: --fuel N, --y-unroll N, --json, --strict, --config PATH.
 Exit codes: 0 ok, 1 directive failure, 2 usage error, 3 internal error.
 """
@@ -18,15 +19,15 @@ import time
 from dataclasses import dataclass, field
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import encodings as E
 from . import parser as P
 from . import relations as RL
 from . import syntax as S
 from .pretty import print_prop, print_term, print_type
-from .rewrite import (Equal, FuelExhausted, NotEqual, RewriteConfig, Unknown,
-                      equal, normalize)
+from .rewrite import (Equal, FuelExhausted, NotEqual, RewriteConfig, equal,
+                      normalize)
 from .relations import RelJudgement, derive_admissible
 from .syntax import RelContext, TermContext
 from .typecheck import TypeCheckError, infer_type, kind_check
@@ -145,8 +146,16 @@ def elaborate_file(text: str, target: str, cfg: Config,
                                "error: " + _locate(text, d)))
     if diags:
         return None
-    elab = Elaborated(src.signature)
-    for decl in src.decls:
+    return elaborate(src.decls, src.signature, text, target, cfg, report,
+                     run_directives)
+
+
+def elaborate(decls: Iterable[P.Decl], sig: P.Signature, text: str | None,
+              target: str, cfg: Config, report: RunReport,
+              run_directives: bool = True) -> Elaborated:
+    """Check `decls` in order, one report entry each; `text` locates errors."""
+    elab = Elaborated(sig)
+    for decl in decls:
         t0 = time.perf_counter()
         try:
             if isinstance(decl, P.TypeDecl):
@@ -252,6 +261,10 @@ def run_directive(d: P.Directive, text: str | None, elab: Elaborated,
             kind, payload = d.payload
             prop = build_schema(kind, payload, elab)
             done("ok", print_prop(prop))
+        elif d.name == "prop":
+            (prop,) = d.payload
+            RL.check_prop((), {}, RelContext(), prop)
+            done("ok")
         else:
             done("error", f"unknown directive {d.name!r}")
     except _DIRECTIVE_ERRORS as e:
@@ -383,19 +396,20 @@ def cmd_encode(args, cfg: Config) -> RunReport:
     label = " ".join([args.kind] + args.types)
     try:
         bundle = _encode_bundle(args.kind, args.types)
-        rep = E.verify_bundle(bundle, cfg.rewrite())
-        bad = ([k for k, v in rep.combinators.items() if not v]
-               + [k for k, v in rep.beta.items() if not isinstance(v, Equal)]
-               + [k for k, v in rep.schemas.items() if not v])
-        unknowns = [k for k, v in rep.beta.items() if isinstance(v, Unknown)]
-        if rep.ok:
+        names, decls = zip(*E.bundle_decls(bundle))
+        checked = RunReport()
+        elaborate(decls, P.Signature(), None, label, cfg, checked)
+        bad = [(n, e) for n, e in zip(names, checked.entries)
+               if e.status != "ok"]
+        why = "; ".join(f"{n} ({e.message})" for n, e in bad)
+        if not bad:
             status, msg = "ok", f"{len(bundle.combinators)} combinator(s), " \
                 f"{len(bundle.beta_laws)} law(s), " \
                 f"{len(bundle.schema_laws)} schema(s)"
-        elif bad == unknowns and bad:
-            status, msg = "unknown", f"undecided laws: {', '.join(unknowns)}"
+        elif all(e.status == "unknown" for _, e in bad):
+            status, msg = "unknown", f"undecided laws: {why}"
         else:
-            status, msg = "error", f"failed: {', '.join(bad)}"
+            status, msg = "error", f"failed: {why}"
         if args.emit_bundle:
             Path(args.emit_bundle).write_text(E.bundle_to_source(bundle))
             msg += f"; wrote {args.emit_bundle}"

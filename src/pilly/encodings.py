@@ -4,23 +4,23 @@ Each generator returns a bundle: the encoded type, closed combinator
 terms with their claimed types, the equational laws that hold by
 rewriting alone (beta_laws, checked by the rewriter), and the statements
 whose proofs need the parametricity schema (schema_laws, emitted as
-well-formed propositions and never checked for truth).
+well-formed propositions and never checked for truth).  `bundle_decls`
+gives a bundle as its file's declarations, closed over its parameters;
+`pilly encode` checks them and `bundle_to_source` prints them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import parser as P
 from . import relations as R
 from . import syntax as S
 from .functor import PolarityViolation, action_contra, action_cov, \
     apply_action, polarity, split_occurrences
 from .pretty import print_prop, print_term, print_type
-from .rewrite import Equal, EqResult, RewriteConfig, equal
-from .syntax import (Bang, Flavor, Lolli, RelVar, Tensor, TermContext,
-                     Term, Type, TyVar, Unit, arrow, forall, fresh,
-                     fresh_many, free_type_names)
-from .typecheck import TypeCheckError, check_type
+from .syntax import (Bang, Flavor, Lolli, RelVar, Tensor, Term, Type, TyVar,
+                     Unit, arrow, forall, fresh, fresh_many, free_type_names)
 
 
 @dataclass
@@ -783,73 +783,55 @@ def encode_rec_params(neg_params: list[str], pos_params: list[str],
 
 
 # ---------------------------------------------------------------------------
-# Verification and serialization
+# Declarations and serialization
 
 
-@dataclass
-class BundleReport:
-    name: str
-    combinators: dict[str, bool]
-    beta: dict[str, EqResult | TypeCheckError]  # or why a law is ill-typed
-    schemas: dict[str, bool]
+def bundle_decls(b: EncodingBundle, prefix: str | None = None,
+                 exclude: set[str] | None = None) -> list[tuple[str, P.Decl]]:
+    """The bundle's file as (name, declaration) pairs: its type, a term
+    per combinator, an `equal` directive per beta law and a `prop`
+    directive per schema law, each closed over the parameters it
+    mentions, so each is checked in an empty context."""
+    prefix = prefix if prefix is not None else b.name
+    params, here = free_type_names(b.defined_type), S.Span(0, 0)
+    mentioned = lambda *nodes: [v for v in params if any(
+        v in free_type_names(x) for x in nodes)]
 
-    @property
-    def ok(self) -> bool:
-        return (all(self.combinators.values())
-                and all(isinstance(r, Equal) for r in self.beta.values())
-                and all(self.schemas.values()))
-
-
-def verify_bundle(b: EncodingBundle,
-                  cfg: RewriteConfig | None = None) -> BundleReport:
-    """Typecheck every combinator, replay every beta law, and check every
-    schema law is a well-formed proposition, all under the defined
-    type's free type variables, the bundle's parameters."""
-    cfg = cfg or RewriteConfig()
-    ctx = TermContext(tuple(free_type_names(b.defined_type)))
-    combs: dict[str, bool] = {}
+    out: list[tuple[str, P.Decl]] = [(f"{prefix}_t", P.TypeDecl(
+        f"{prefix}_t", tuple(params), b.defined_type, here))]
     for name, (term, ty) in b.combinators.items():
-        try:
-            check_type(ctx, term, ty)
-            combs[name] = True
-        except TypeCheckError:
-            combs[name] = False
-    beta: dict[str, EqResult | TypeCheckError] = {}
+        if name not in (exclude or ()):
+            ps = mentioned(term, ty)
+            out.append((name, P.TermDecl(f"{prefix}_{name}", S.foralls(ps, ty),
+                                         S.ty_lams(ps, term), here)))
     for name, lhs, rhs in b.beta_laws:
-        try:
-            beta[name] = equal(lhs, rhs, cfg, ctx=ctx)
-        except TypeCheckError as e:
-            beta[name] = e
-    schemas: dict[str, bool] = {}
+        ps = mentioned(lhs, rhs)
+        out.append((name, P.Directive(
+            "equal", (S.ty_lams(ps, lhs), S.ty_lams(ps, rhs)), here)))
     for name, prop in b.schema_laws:
-        try:
-            R.check_prop(ctx.xi, {}, S.RelContext(), prop)
-            schemas[name] = True
-        except (R.FormationError, R.PurityError, TypeCheckError):
-            schemas[name] = False
-    return BundleReport(b.name, combs, beta, schemas)
+        for v in reversed(mentioned(prop)):
+            prop = S.forall_ty_p(v, prop)
+        out.append((name, P.Directive("prop", (prop,), here)))
+    return out
 
 
 def bundle_to_source(b: EncodingBundle, prefix: str | None = None,
                      exclude: set[str] | None = None) -> str:
-    """Serialize a bundle as a declaration file with equality directives."""
-    prefix = prefix if prefix is not None else b.name
-    exclude = exclude or set()
+    """Print `bundle_decls`; a schema law is a `# schema` comment."""
     lines = [f"# bundle: {b.name}"]
-    params = "".join(f" {v}" for v in free_type_names(b.defined_type))
-    lines.append(f"type {prefix}_t{params} = "
-                 f"{print_type(b.defined_type, sugar=True)}")
-    for name, (term, ty) in b.combinators.items():
-        if name in exclude:
-            continue
-        lines.append(f"term {prefix}_{name} : {print_type(ty, sugar=True)} = "
-                     f"{print_term(term, sugar=True)}")
-    for name, lhs, rhs in b.beta_laws:
-        lines.append(f"# law: {name}")
-        lines.append(f"#equal {print_term(lhs, sugar=True)} == "
-                     f"{print_term(rhs, sugar=True)}")
-    for name, prop in b.schema_laws:
-        lines.append(f"# schema {name}: {print_prop(prop, sugar=True)}")
+    for name, d in bundle_decls(b, prefix, exclude):
+        if isinstance(d, P.TypeDecl):
+            lines.append(f"type {' '.join((d.name, *d.params))} = "
+                         f"{print_type(d.body, sugar=True)}")
+        elif isinstance(d, P.TermDecl):
+            lines.append(f"term {d.name} : {print_type(d.claimed, sugar=True)}"
+                         f" = {print_term(d.body, sugar=True)}")
+        elif d.name == "equal":
+            lines += [f"# law: {name}", "#equal " + " == ".join(
+                print_term(t, sugar=True) for t in d.payload)]
+        else:
+            lines.append(f"# schema {name}: "
+                         f"{print_prop(d.payload[0], sugar=True)}")
     return "\n".join(lines) + "\n"
 
 

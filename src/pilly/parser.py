@@ -28,10 +28,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import syntax as S
-from .syntax import Flavor, Span
-
-KEYWORDS = {"all", "ex", "fn", "lam", "let", "in", "Y", "I", "T", "F",
-            "Rel", "AdmRel", "term", "type", "rel"}
+from .syntax import KEYWORDS, Flavor, Span
 
 # One match skips blanks and comments, then reads at most one token.  A
 # `#` directly followed by a letter is a directive, whatever its name, so

@@ -885,9 +885,14 @@ def uses_bound_ty(obj: Node, k: int = 0) -> bool:
 # Fresh names and binder helpers
 
 
+# Reserved words, which `fresh` never returns: its numbered names hold digits.
+KEYWORDS = {"all", "ex", "fn", "lam", "let", "in", "Y", "I", "T", "F",
+            "Rel", "AdmRel", "term", "type", "rel"}
+
+
 def fresh(base: str, avoid: Iterable[str]) -> str:
     avoid = set(avoid)
-    if base and base not in avoid:
+    if base and base not in avoid and base not in KEYWORDS:
         return base
     base = base or "x"
     root = base.rstrip("0123456789") or base

@@ -428,11 +428,31 @@ class TestEncode:
              / "report-schema.json").read_text())
         assert main(["encode", "unit"]) == 1
         out = capsys.readouterr().out
-        assert out.startswith("[FAIL] encode") and "failed: ill_typed" in out
+        assert out.startswith("[FAIL] encode") and "failed: ill_typed (" in out
+        assert "NotAFunction: application head has type I" in out
         rc, lines = run_json(["encode", "unit"], capsys)
         assert rc == 1 and [e["status"] for e in lines] == ["error"]
         for e in lines:
             jsonschema.validate(e, schema)
+
+    def test_failed_law_names_its_normal_forms(self, monkeypatch, capsys):
+        import pilly.cli as cli
+        from pilly import encodings as E
+        from pilly.parser import parse_term
+
+        def faulty():
+            b = E.encode_unit()
+            b.beta_laws.append(("swapped", parse_term(
+                "fn x:I. fn y:I. let <> = x in y"), parse_term(
+                "fn x:I. fn y:I. let <> = y in x")))
+            return b
+
+        monkeypatch.setitem(cli._ENCODINGS, "unit", (0, faulty))
+        assert main(["encode", "unit"]) == 1
+        assert capsys.readouterr().out.strip() == (
+            "[FAIL] encode unit -- failed: swapped (not βη-convertible: "
+            "fn x:I. fn y:I. let <> = x in y vs "
+            "fn x:I. fn y:I. let <> = y in x)")
 
     def test_bad_polarity(self, capsys):
         assert main(["encode", "mu", "a -o a"]) == 1
@@ -440,8 +460,8 @@ class TestEncode:
 
     @pytest.mark.parametrize("args", [
         pytest.param(["mu", "1 + a"], id="mu"),
-        pytest.param(["sum", "b", "I"], id="sum-b-I", marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 11"))])
+        pytest.param(["sum", "b", "I"], id="sum-b-I"),
+        pytest.param(["rec-params", "f * a"], id="rec-params-f")])
     def test_emit_bundle_rechecks(self, write, tmp_path, capsys, args):
         out = tmp_path / "bundle.pilly"
         assert main(["encode", *args, "--emit-bundle", str(out)]) == 0

@@ -2,19 +2,33 @@
 of the correctness proofs replay, and the schema statements are
 well-formed."""
 
+import functools
+
 import pytest
 
+from pilly import cli
 from pilly import encodings as E
 from pilly import relations as RL
 from pilly import syntax as S
-from pilly.parser import parse_encode_type, parse_file, parse_type
+from pilly.cli import Config, RunReport, elaborate, elaborate_file, main
+from pilly.parser import Signature, parse_encode_type, parse_file, parse_type
 from pilly.pretty import pp
 from pilly.rewrite import Equal, RewriteConfig, equal
 from pilly.syntax import Lolli, RelContext, TermContext, Tensor, TyVar, Unit
 from pilly.typecheck import TypeCheckError, check_type, infer_type
 
 CFG = RewriteConfig()
+CLI_CFG = Config(fuel=CFG.fuel, y_unroll=CFG.y_unroll)
 EMPTY = TermContext()
+
+
+def check_in_memory(b: E.EncodingBundle) -> RunReport:
+    """Check b's declarations as `pilly encode` does: in memory, without
+    printing them."""
+    report = RunReport()
+    elaborate([d for _, d in E.bundle_decls(b)], Signature(), None, b.name,
+              CLI_CFG, report)
+    return report
 
 
 def assert_bundle_ok(b: E.EncodingBundle, xi=()):
@@ -288,13 +302,25 @@ PARAM_SHAPES = {
 }
 # Names the generators also pick for their own binders.
 PARAM_NAMES = ["b", "c", "q2", "t", "f", "x", "y", "h", "u", "w", "w'",
-               "an", "ap", "a1", "Rm", "Rp", "a_c", "s", "z"]
+               "an", "ap", "a1", "Rm", "Rp", "a_c", "s", "z", "i"]
+
+
+@functools.cache
+def param_exit_code(shape: str, name: str) -> int:
+    """The strict exit code of checking PARAM_SHAPES[shape](name) in
+    memory, computed once for the two tests that check every such
+    bundle."""
+    return check_in_memory(PARAM_SHAPES[shape](name)).exit_code(strict=True)
 
 
 class TestVerifyBundle:
+    """`pilly encode` checks a bundle by elaborating `bundle_decls`; a
+    strict exit code of 0 means every combinator typechecks, every beta
+    law is Equal and every schema law is well-formed."""
+
     def test_catalog_bundles_verify(self):
         for key, b in E.catalog().items():
-            assert E.verify_bundle(b, CFG).ok, key
+            assert check_in_memory(b).exit_code(strict=True) == 0, key
 
     @pytest.mark.parametrize("shape", PARAM_SHAPES)
     def test_type_parameters_of_every_name(self, shape):
@@ -303,10 +329,24 @@ class TestVerifyBundle:
         combinator's type, except in rec_params, which closes over it."""
         for p in PARAM_NAMES:
             b = PARAM_SHAPES[shape](p)
-            assert E.verify_bundle(b, CFG).ok, p
+            assert param_exit_code(shape, p) == 0, p
             for name, (_, ty) in b.combinators.items():
                 free = p in S.free_type_names(ty)
                 assert free != (b.name == "rec_params"), (p, name)
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    @pytest.mark.parametrize("shape", PARAM_SHAPES)
+    def test_emitted_file_checks_as_in_memory(self, shape, name):
+        """The file a bundle is written to gets the verdict the bundle
+        gets in memory, and both are ok."""
+        b = PARAM_SHAPES[shape](name)
+        from_file = RunReport()
+        elaborate_file(E.bundle_to_source(b), "bundle.pilly", CLI_CFG,
+                       from_file)
+        codes = (param_exit_code(shape, name),
+                 from_file.exit_code(strict=True))
+        assert codes == (0, 0), [e.render() for e in from_file.entries
+                                 if e.status != "ok"]
 
     def test_rec_bundle_infers_few_nodes(self, monkeypatch):
         """A work-count guard: verifying rec_lazy_list visits at most
@@ -320,31 +360,37 @@ class TestVerifyBundle:
             return infer(self, t)
 
         monkeypatch.setattr(Inferencer, "infer", counted)
-        assert E.verify_bundle(E.catalog()["rec_lazy_list"], CFG).ok
+        report = check_in_memory(E.catalog()["rec_lazy_list"])
+        assert report.exit_code(strict=True) == 0
         assert 0 < len(calls) <= 2000
 
-    def test_ill_typed_combinator_is_reported(self):
-        b = E.encode_unit()
-        name, (term, _) = next(iter(b.combinators.items()))
-        b.combinators[name] = (term, Unit())
-        rep = E.verify_bundle(b, CFG)
-        assert rep.combinators[name] is False and not rep.ok
+    def test_ill_typed_combinator_is_reported(self, monkeypatch, capsys):
+        def faulty():
+            b = E.encode_unit()
+            name, (term, _) = next(iter(b.combinators.items()))
+            b.combinators[name] = (term, Unit())
+            return b
+
+        monkeypatch.setitem(cli._ENCODINGS, "unit", (0, faulty))
+        assert main(["encode", "unit"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("[FAIL] encode unit -- failed: fwd (")
+        assert "declared type I but inferred" in out
 
     def test_crash_in_typechecker_propagates(self, monkeypatch):
-        from pilly.cli import main
-
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic")
 
-        monkeypatch.setattr(E, "check_type", boom)
+        monkeypatch.setattr(cli, "infer_type", boom)
         with pytest.raises(RuntimeError):
-            E.verify_bundle(E.encode_unit(), CFG)
+            check_in_memory(E.encode_unit())
         assert main(["encode", "unit"]) == 3
 
     def test_crash_in_schema_check_propagates(self, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic")
 
-        monkeypatch.setattr(E.R, "check_prop", boom)
+        monkeypatch.setattr(RL, "check_prop", boom)
         with pytest.raises(RuntimeError):
-            E.verify_bundle(E.encode_nat(), CFG)
+            check_in_memory(E.encode_nat())
+        assert main(["encode", "nat"]) == 3

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from pilly import encodings as E, syntax as S
+from pilly.parser import parse_term
 from pilly.pretty import pp
 from pilly.syntax import (
     And, App, Bang, Bound, Compr, Flavor, Forall, ForallRel, ForallTm,
@@ -85,6 +86,15 @@ EXACT = {
 @pytest.mark.parametrize("node,sugar,expected", EXACT.values(), ids=EXACT)
 def test_exact_output(node, sugar, expected):
     assert pp(node, sugar) == expected
+
+
+@pytest.mark.parametrize("hint", sorted(S.KEYWORDS))
+def test_binder_hinted_by_a_keyword_round_trips(hint):
+    """A binder whose hint is a reserved word gets a name that parses."""
+    node = TyLam(hint, LinLam(hint, TyBound(0), Bound(0)))
+    out = pp(node)
+    assert out.startswith(f"/\\{hint}1. fn {hint}2:")
+    assert parse_term(out) == node
 
 
 @pytest.mark.parametrize("node,message", [
