@@ -225,12 +225,8 @@ def run_directive(d: P.Directive, text: str | None, elab: Elaborated,
         elif d.name == "normalize":
             (term,) = d.payload
             infer_type(elab.ctx(), term)
-            try:
-                nf = normalize(elab.inline(term), cfg.rewrite())
-                done("ok", print_term(nf))
-            except FuelExhausted as e:
-                done("unknown",
-                     f"fuel exhausted at {print_term(e.term)[:200]}")
+            nf = normalize(elab.inline(term), cfg.rewrite())
+            done("ok", print_term(nf))
         elif d.name == "equal":
             lhs, rhs = d.payload
             r = equal(elab.inline(lhs), elab.inline(rhs), cfg.rewrite(),
@@ -269,6 +265,16 @@ def run_directive(d: P.Directive, text: str | None, elab: Elaborated,
             done("error", f"unknown directive {d.name!r}")
     except _DIRECTIVE_ERRORS as e:
         done("error", _locate(text, e))
+    except FuelExhausted as e:
+        done("unknown", _fuel_cut(e))
+
+
+def _fuel_cut(e: FuelExhausted) -> str:
+    """A fuel cut-off's message.  A term cut under a proposition's binders
+    has loose indices, so it is not shown."""
+    if any(S.loose_bounds(e.term)):
+        return "fuel exhausted under a binder"
+    return f"fuel exhausted at {print_term(e.term)[:200]}"
 
 
 def build_schema(kind: str, payload, elab: Elaborated) -> S.Proposition:
@@ -356,10 +362,9 @@ def cmd_equal(args, cfg: Config) -> RunReport:
 def _encode_rec_params(body: S.Type) -> E.EncodingBundle:
     """`rec` with every parameter of `body` but `a` split by variance."""
     neg, pos = [], []
-    for v in S.free_type_names(body):
+    for v, pol in E.variance(body).items():
         if v == "a":
             continue
-        pol = E.polarity(body, v)
         if pol.negative and pol.positive:
             raise ValueError(f"parameter {v!r} has mixed variance")
         (neg if pol.negative else pos).append(v)
@@ -417,6 +422,9 @@ def cmd_encode(args, cfg: Config) -> RunReport:
                                time.perf_counter() - t0))
     except (E.PolarityViolation, ValueError, P.ParseError) as e:
         report.add(ReportEntry(label, "encode", "error", str(e),
+                               time.perf_counter() - t0))
+    except FuelExhausted as e:
+        report.add(ReportEntry(label, "encode", "unknown", _fuel_cut(e),
                                time.perf_counter() - t0))
     return report
 

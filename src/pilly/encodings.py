@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from . import parser as P
 from . import relations as R
 from . import syntax as S
+# cli reaches PolarityViolation and variance through this module
 from .functor import PolarityViolation, action_contra, action_cov, \
-    apply_action, polarity, split_occurrences
+    apply_action, forbid, split_occurrences, variance
 from .pretty import print_prop, print_term, print_type
 from .syntax import (Bang, Flavor, Lolli, RelVar, Tensor, Term, Type, TyVar,
                      Unit, arrow, forall, fresh, fresh_many, free_type_names)
@@ -391,13 +392,6 @@ def encode_exists(var: str, body: Type) -> EncodingBundle:
 # Initial algebras, final coalgebras
 
 
-def _require_positive(var: str, body: Type) -> None:
-    p = polarity(body, var)
-    if p.negative:
-        raise PolarityViolation(
-            f"{var!r} must occur only positively in {print_type(body)}")
-
-
 def mu_fold(var: str, body: Type) -> Term:
     enc = mu_type(var, body)
     f, u = fresh_many(["f", "u"], set(free_type_names(body)) | {var})
@@ -417,7 +411,8 @@ def mu_in(var: str, body: Type) -> Term:
 
 
 def encode_mu(var: str, body: Type) -> EncodingBundle:
-    _require_positive(var, body)
+    forbid(body, [var], False,
+           "{!r} must occur only positively in " + print_type(body))
     enc = mu_type(var, body)
     fold = mu_fold(var, body)
     in_ = mu_in(var, body)
@@ -487,7 +482,8 @@ def nu_out(var: str, body: Type) -> tuple[Term, Term]:
 
 
 def encode_nu(var: str, body: Type) -> EncodingBundle:
-    _require_positive(var, body)
+    forbid(body, [var], False,
+           "{!r} must occur only positively in " + print_type(body))
     enc = nu_type(var, body)
     unfold = nu_unfold(var, body)
     out, r = nu_out(var, body)
@@ -554,16 +550,6 @@ class RecParts:
     bundle: EncodingBundle    # into and outof, closed over the parameters
 
 
-def _forbid(ty: Type, names: list[str], positive: bool, message: str) -> None:
-    """Reject the first of names that occurs in ty with the given sign;
-    message is formatted with the name and the sign."""
-    sign = "positively" if positive else "negatively"
-    for nm in names:
-        pol = polarity(ty, nm)
-        if pol.positive if positive else pol.negative:
-            raise PolarityViolation(message.format(nm, sign))
-
-
 def _rec_parts(name: str, var: str, body: Type, neg_params: list[str],
                pos_params: list[str]) -> RecParts:
     """Split var by variance and build the two fixed points.  The i-th
@@ -578,8 +564,8 @@ def _rec_parts(name: str, var: str, body: Type, neg_params: list[str],
         pos_params.append(fresh(neg_params[len(pos_params)] + "p", avoid))
         avoid.add(pos_params[-1])
     only = "parameter {!r} must occur only "
-    _forbid(body, neg_params, True, only + "negatively")
-    _forbid(body, pos_params, False, only + "positively")
+    forbid(body, neg_params, True, only + "negatively")
+    forbid(body, pos_params, False, only + "positively")
     swap: dict[str, Type] = {}
     for nn, pp_ in zip(neg_params, pos_params):
         swap[nn] = TyVar(pp_)
@@ -592,10 +578,10 @@ def _rec_parts(name: str, var: str, body: Type, neg_params: list[str],
                              n: S.subst_type_in_type(omega, n, TyVar(a))})
     tau_p = nu_type(a, phi)
     tau = S.subst_type_in_type(omega, n, tau_p)
-    _forbid(tau, neg_params, True, "{!r} occurs {} in the result")
-    _forbid(tau_p, neg_params, False, "{!r} occurs {} in the companion")
-    _forbid(tau, pos_params, False, "{!r} occurs {} in the result")
-    _forbid(tau_p, pos_params, True, "{!r} occurs {} in the companion")
+    forbid(tau, neg_params, True, "{!r} occurs {} in the result")
+    forbid(tau_p, neg_params, False, "{!r} occurs {} in the companion")
+    forbid(tau, pos_params, False, "{!r} occurs {} in the result")
+    forbid(tau_p, pos_params, True, "{!r} occurs {} in the companion")
     in_ = mu_in(p, S.subst_type_in_type(s4, n, tau_p))
     out, _ = nu_out(a, phi)
     params = neg_params + pos_params

@@ -1,5 +1,9 @@
 """Variance analysis and synthesis of functorial actions.
 
+One sign rule, read off the child table, answers every variance question:
+the domain of `-o` flips the sign, every other child keeps it, and an
+opaque constant's arguments count as both signs.
+
 For a type s with one variable occurring only negatively and one only
 positively, `synthesize_m` builds the closed term that acts on a pair of
 maps, of type
@@ -17,8 +21,9 @@ from dataclasses import dataclass
 
 from . import syntax as S
 from .rewrite import EqResult, RewriteConfig, equal
-from .syntax import (Bang, Forall, Lolli, Tensor, TermContext, TyConst, TyVar,
-                     Type, Unit, arrow, free_type_names, fresh, fresh_many)
+from .syntax import (CHILDREN, Bang, Forall, Lolli, Tensor, TermContext,
+                     TyConst, TyVar, Type, Unit, arrow, free_type_names, fresh,
+                     fresh_many)
 
 
 class PolarityViolation(Exception):
@@ -35,39 +40,49 @@ class Polarity:
     negative: bool
 
 
+_NEITHER = Polarity(False, False)
+# Signs are 1, -1 and 0 (both); a child field's sign is its parent's times
+# its factor, 1 where _FACTOR does not list it.
+_FACTOR = {(Lolli, "dom"): -1, (TyConst, "args"): 0}
+_SIGNED = {cls: [(name, _FACTOR.get((cls, name), 1)) for name, *_ in kids]
+           for cls, kids in CHILDREN.items()}
+
+
+def _signed_children(t: Type, sign: int) -> list[tuple[str, object, int]]:
+    """(field, child, sign) for each child field of t, in order; a
+    constant's arguments are one tuple."""
+    return [(name, getattr(t, name), sign * k)
+            for name, k in _SIGNED.get(type(t), ())]
+
+
+def variance(ty: Type) -> dict[str, Polarity]:
+    """The occurrence signs of every free type variable of ty, in
+    first-occurrence order, from one walk on an explicit stack."""
+    seen = {n: set() for n in free_type_names(ty)}
+    todo = [(ty, 1)]
+    while todo:
+        t, sign = todo.pop()
+        if type(t) is TyVar:
+            seen[t.name].add(sign)
+        for _, c, s in _signed_children(t, sign):
+            todo.extend([(a, s) for a in c] if type(c) is tuple else [(c, s)])
+    return {n: Polarity(max(s) >= 0, min(s) <= 0) for n, s in seen.items()}
+
+
 def polarity(ty: Type, name: str) -> Polarity:
-    """Occurrence signs of a free type variable.
+    """Occurrence signs of one free type variable; see `variance`."""
+    return variance(ty).get(name, _NEITHER)
 
-    The domain of a linear arrow flips the sign; tensor, !, I and the
-    quantifier preserve it; occurrences inside an opaque constant's
-    arguments count as both.
-    """
-    pos = neg = False
 
-    def go(t: Type, sign: bool):
-        nonlocal pos, neg
-        if isinstance(t, TyVar):
-            if t.name == name:
-                if sign:
-                    pos = True
-                else:
-                    neg = True
-        elif isinstance(t, Lolli):
-            go(t.dom, not sign)
-            go(t.cod, sign)
-        elif isinstance(t, Tensor):
-            go(t.left, sign)
-            go(t.right, sign)
-        elif isinstance(t, (Bang, Forall)):
-            go(t.body, sign)
-        elif isinstance(t, TyConst):
-            for a in t.args:
-                if name in free_type_names(a):
-                    pos = True
-                    neg = True
-
-    go(ty, True)
-    return Polarity(pos, neg)
+def forbid(ty: Type, names: list[str], positive: bool, message: str) -> None:
+    """Raise PolarityViolation on the first of names that occurs in ty
+    with the given sign, formatting message with the name and the sign."""
+    signs = variance(ty) if names else {}
+    for nm in names:
+        pol = signs.get(nm, _NEITHER)
+        if pol.positive if positive else pol.negative:
+            raise PolarityViolation(message.format(
+                nm, "positively" if positive else "negatively"))
 
 
 @dataclass(frozen=True)
@@ -86,28 +101,18 @@ def split_occurrences(ty: Type, name: str) -> SplitType:
     neg_var, pos_var = fresh_many([name + "n", name + "p"],
                                   {*free_type_names(ty), name})
 
-    def go(t: Type, sign: bool) -> Type:
-        if isinstance(t, TyVar):
-            if t.name == name:
-                return TyVar(pos_var if sign else neg_var)
+    def go(t: Type, sign: int) -> Type:
+        if name not in free_type_names(t):
             return t
-        if isinstance(t, Lolli):
-            return Lolli(go(t.dom, not sign), go(t.cod, sign))
-        if isinstance(t, Tensor):
-            return Tensor(go(t.left, sign), go(t.right, sign))
-        if isinstance(t, Bang):
-            return Bang(go(t.body, sign))
-        if isinstance(t, Forall):
-            return Forall(t.hint, go(t.body, sign))
-        if isinstance(t, TyConst):
-            for a in t.args:
-                if name in free_type_names(a):
-                    raise NotInductivelyConstructed(
-                        f"variable {name!r} occurs inside constant {t.name!r}")
-            return t
-        return t
+        if type(t) is TyVar:
+            return TyVar(pos_var if sign > 0 else neg_var)
+        if type(t) is TyConst:
+            raise NotInductivelyConstructed(
+                f"variable {name!r} occurs inside constant {t.name!r}")
+        return S.rebuild(t, {f: go(c, s)
+                             for f, c, s in _signed_children(t, sign)})
 
-    return SplitType(go(ty, True), neg_var, pos_var)
+    return SplitType(go(ty, 1), neg_var, pos_var)
 
 
 def _act(s: Type, vn: str, vp: str, ns: Type, ps: Type, nd: Type, pd: Type,
@@ -124,11 +129,6 @@ def _act(s: Type, vn: str, vp: str, ns: Type, ps: Type, nd: Type, pd: Type,
     def dst(t: Type) -> Type:
         return S.subst_types(t, {vn: nd, vp: pd})
 
-    if isinstance(s, TyVar) and s.name == vp:
-        return g
-    if isinstance(s, TyVar) and s.name == vn:
-        raise PolarityViolation(
-            f"variable {vn!r} occurs positively")
     if isinstance(s, Lolli):
         h = fresh("h", avoid)
         x = fresh("x", avoid | {h})
@@ -159,19 +159,7 @@ def _act(s: Type, vn: str, vp: str, ns: Type, ps: Type, nd: Type, pd: Type,
         b_act = _act(opened, vn, vp, ns, ps, nd, pd, f, g, avoid | {w, z})
         return S.lin_lam(z, src(s), S.ty_lam(
             w, S.app(b_act, S.tyapp(S.Var(z), TyVar(w)))))
-    if isinstance(s, TyConst):
-        raise NotInductivelyConstructed(
-            f"cannot act on constant {s.name!r} mentioning {vn!r} or {vp!r}")
-    raise PolarityViolation(f"unexpected type shape {s!r}")
-
-
-def _check_variances(ty: Type, neg: str, pos: str) -> None:
-    pn = polarity(ty, neg)
-    if pn.positive:
-        raise PolarityViolation(f"{neg!r} must occur only negatively")
-    pp_ = polarity(ty, pos)
-    if pp_.negative:
-        raise PolarityViolation(f"{pos!r} must occur only positively")
+    return g  # synthesize_m's checks leave only the variable vp here
 
 
 def m_declared_type(ty: Type, neg: str, pos: str) -> Type:
@@ -197,7 +185,8 @@ def _check_constants(ty: Type, neg: str, pos: str) -> None:
 def synthesize_m(ty: Type, neg: str, pos: str) -> S.Term:
     """Closed action term for a type with split variances."""
     _check_constants(ty, neg, pos)
-    _check_variances(ty, neg, pos)
+    forbid(ty, [neg], True, "{!r} must occur only negatively")
+    forbid(ty, [pos], False, "{!r} must occur only positively")
     avoid = set(free_type_names(ty)) | {neg, pos}
     a, b, a2, b2, f, g = fresh_many(["a", "b", "a'", "b'", "f", "g"], avoid)
     s_ab = S.subst_types(ty, {neg: TyVar(a), pos: TyVar(b)})

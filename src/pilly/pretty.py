@@ -18,7 +18,7 @@ from .syntax import (
     LetBang, LetStar, LetTensor, LinLam, Lolli, Node, Or, Proposition, RelApp,
     RelBound, Relation, RelVar, Star, Tensor, TensorPair, Term, Top, TyBound,
     Type, TypeRel, TyApp, TyConst, TyLam, TyVar, Unit, Var, Y,
-    all_free_names, fresh, uses_bound_tm,
+    DIGITS, all_free_names, fresh, uses_bound_tm,
 )
 
 # precedence levels; a node prints bare when its level >= the requested one
@@ -39,16 +39,19 @@ def _wrap(s: str, level: int, prec: int) -> str:
 class _Printer:
     """One printing of one root.  `avoid` holds the root's free names and
     the names of the binders in scope, `names[ns]` the names of namespace
-    ns's binders in scope, innermost last.  A binder case prints what lies
-    outside its scope, then pushes, prints its body and pops in one frame."""
+    ns's binders in scope, innermost last, and `floors` `fresh`'s suffix
+    floor per root, which a pop lowers again, so a name costs amortized
+    O(1).  A binder case prints what lies outside its scope, then pushes,
+    prints its body and pops in one frame."""
 
     def __init__(self, root: Node, sugar: bool):
         self.avoid = set(all_free_names(root))
         self.names: tuple[list, list, list] = ([], [], [])
+        self.floors: dict[str, int] = {}
         self.sugar = sugar
 
     def push(self, ns: int, hint: str) -> str:
-        n = fresh(hint, self.avoid)
+        n = fresh(hint, self.avoid, self.floors)
         self.avoid.add(n)
         self.names[ns].append(n)
         return n
@@ -56,7 +59,11 @@ class _Printer:
     def pop(self, ns: int, s: str, count: int = 1) -> str:
         """Close the scope `s` was printed in: pop `count` names of ns."""
         for _ in range(count):
-            self.avoid.discard(self.names[ns].pop())
+            n = self.names[ns].pop()
+            self.avoid.discard(n)
+            root = n.rstrip(DIGITS) if n else ""
+            if root in self.floors and root != n:
+                self.floors[root] = min(self.floors[root], int(n[len(root):]))
         return s
 
     def bound(self, ns: int, k: int) -> str:

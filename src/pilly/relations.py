@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import syntax as S
 from .pretty import print_rel, print_type
-from .rewrite import FuelExhausted, RewriteConfig, normalize
+from .rewrite import RewriteConfig, normalize
 from .syntax import (CHILDREN, And, Bottom, Compr, ExistsRel, ExistsTm,
                      ExistsTy, Flavor, Forall, ForallRel, ForallTm, ForallTy,
                      Implies, InternalEq, Lolli, Or, Proposition, RelApp,
@@ -39,25 +39,19 @@ class FormationError(Exception):
 _NF_CFG = RewriteConfig(fuel=4000)
 
 
-def _norm_term(t: S.Term) -> S.Term:
-    try:
-        return normalize(t, _NF_CFG)
-    except FuelExhausted as e:
-        return e.term
-
-
 def prop_beta(p: Proposition | Relation) -> Proposition | Relation:
     """Beta-normal form of a proposition or relation: a comprehension
     applied to two terms is unfolded and every embedded term is
-    normalized.  A subtree with nothing to change comes back as the same
-    object, so its caches survive."""
+    normalized; a fuel cut-off raises FuelExhausted and is never passed
+    on as a normal form.  A subtree with nothing to change comes back as
+    the same object, so its caches survive."""
     changes = {}
     for name, sort, *_ in CHILDREN.get(type(p), ()):
         c = getattr(p, name)
         if sort is Type:
             continue
         if sort is S.Term:
-            d = _norm_term(c)
+            d = normalize(c, _NF_CFG)
         elif type(c) is tuple:
             d = tuple([prop_beta(a) for a in c])
             if all(a is b for a, b in zip(c, d)):

@@ -29,10 +29,9 @@ also holds the type checker's cache of its type; `rebuild` drops all three.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -888,18 +887,27 @@ def uses_bound_ty(obj: Node, k: int = 0) -> bool:
 # Reserved words, which `fresh` never returns: its numbered names hold digits.
 KEYWORDS = {"all", "ex", "fn", "lam", "let", "in", "Y", "I", "T", "F",
             "Rel", "AdmRel", "term", "type", "rel"}
+DIGITS = "0123456789"
 
 
-def fresh(base: str, avoid: Iterable[str]) -> str:
-    avoid = set(avoid)
+def fresh(base: str, avoid: Container[str],
+          floors: dict[str, int] | None = None) -> str:
+    """`base` if `avoid` lacks it and it is no keyword, else base's root
+    (base less its trailing digits) numbered with the smallest suffix from
+    1 that `avoid` lacks.  `floors`, if given, maps a root to a suffix
+    below which every numbered name of that root is in `avoid`: the search
+    starts there, and the floor moves past the name returned, which the
+    caller then adds to `avoid`."""
     if base and base not in avoid and base not in KEYWORDS:
         return base
     base = base or "x"
-    root = base.rstrip("0123456789") or base
-    for i in itertools.count(1):
-        cand = f"{root}{i}"
-        if cand not in avoid:
-            return cand
+    root = base.rstrip(DIGITS) or base
+    i = 1 if floors is None else floors.get(root, 1)
+    while f"{root}{i}" in avoid:
+        i += 1
+    if floors is not None:
+        floors[root] = i + 1
+    return f"{root}{i}"
 
 
 def fresh_many(bases: Sequence[str], avoid: Iterable[str]) -> list[str]:
@@ -1080,7 +1088,7 @@ def rel_signature(r: Relation) -> tuple[Type, Type]:
     if isinstance(r, Compr):
         return r.tyx, r.tyy
     if isinstance(r, TypeRel):
-        doms = [rel_signature(a)[0] for a in r.args]
-        cods = [rel_signature(a)[1] for a in r.args]
-        return instantiate_ty(r.body, *doms), instantiate_ty(r.body, *cods)
+        sigs = [rel_signature(a) for a in r.args]
+        return (instantiate_ty(r.body, *[dom for dom, _ in sigs]),
+                instantiate_ty(r.body, *[cod for _, cod in sigs]))
     raise ValueError("relation has no standalone signature (bound variable)")

@@ -458,6 +458,15 @@ class TestEncode:
         assert main(["encode", "mu", "a -o a"]) == 1
         assert "only positively" in capsys.readouterr().out
 
+    def test_fuel_cut_is_unknown(self, capsys, monkeypatch):
+        from pilly import relations
+        from pilly.rewrite import RewriteConfig
+        monkeypatch.setattr(relations, "_NF_CFG", RewriteConfig(fuel=7))
+        assert main(["encode", "rec-params", "b -o a"]) == 0
+        assert capsys.readouterr().out == (
+            "[unknown] encode rec-params b -o a -- "
+            "fuel exhausted under a binder\n")
+
     @pytest.mark.parametrize("args", [
         pytest.param(["mu", "1 + a"], id="mu"),
         pytest.param(["sum", "b", "I"], id="sum-b-I"),
@@ -483,6 +492,27 @@ class TestAdmissible:
     def test_admissible_variable(self, write):
         f = write("a.pilly", "rel SA : AdmRel(I, I)\n")
         assert main(["admissible", f, "SA"]) == 0
+
+    def test_undeclared_name(self, write, capsys):
+        f = write("a.pilly", "#admissible NOPE\n")
+        assert main(["check", f]) == 1
+        assert "no relation named 'NOPE'" in capsys.readouterr().out
+
+    def test_converse_reindexing_derives(self, write, capsys):
+        f = write("a.pilly", "term f = fn u:I. u\nrel S : AdmRel(I, I)\n"
+                  "rel G = (x:I, y:I). S(f y, f x)\n")
+        assert main(["admissible", f, "G"]) == 0
+        assert "converse: reindex via beta-unfolding" in \
+            capsys.readouterr().out
+
+    def test_fuel_cut_is_unknown(self, write, capsys, monkeypatch):
+        from pilly import relations
+        from pilly.rewrite import RewriteConfig
+        monkeypatch.setattr(relations, "_NF_CFG", RewriteConfig(fuel=3))
+        f = write("a.pilly", "rel G = ((I -o I) -o I)[]\n")
+        assert main(["admissible", f, "G"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "[unknown] #admissible ")
 
     @pytest.mark.parametrize("name, status", [("EQ", "ok"),
                                               ("RW", "error")])
@@ -602,3 +632,9 @@ class TestCatalogFallback:
         cfgp.write_text(f"catalog = {tmp_path}\n")
         assert main(["--config", str(cfgp), "check"]) == 0
         assert "only.pilly" in capsys.readouterr().out
+
+    def test_configured_catalog_without_files(self, tmp_path, capsys):
+        cfgp = tmp_path / "pilly.toml"
+        cfgp.write_text(f"catalog = {tmp_path}\n")
+        assert main(["--config", str(cfgp), "check"]) == 1
+        assert "no .pilly files found" in capsys.readouterr().out

@@ -9,7 +9,7 @@ from pilly import syntax as S
 from pilly.functor import (NotInductivelyConstructed, Polarity,
                            PolarityViolation, action_cov, apply_action,
                            check_functor_laws, m_declared_type, polarity,
-                           split_occurrences, synthesize_m)
+                           split_occurrences, synthesize_m, variance)
 from pilly.parser import parse_type
 from pilly.pretty import pp
 from pilly.rewrite import Equal, RewriteConfig, equal
@@ -21,24 +21,47 @@ CATALOG = ["b", "!b", "b * b", "a -o b", "all g. b * g"]
 
 def occurrences_oracle(ty, name):
     """Independent per-occurrence enumeration: collect the parity of
-    arrow-domain crossings on the path to each occurrence."""
+    arrow-domain crossings on the path to each occurrence; an occurrence
+    inside a constant's arguments counts as both."""
     signs = []
 
-    def walk(t, flips):
+    def walk(t, flips, both=False):
         if isinstance(t, TyVar):
             if t.name == name:
-                signs.append(flips % 2 == 0)
+                signs.extend([True, False] if both else [flips % 2 == 0])
         elif isinstance(t, Lolli):
-            walk(t.dom, flips + 1)
-            walk(t.cod, flips)
+            walk(t.dom, flips + 1, both)
+            walk(t.cod, flips, both)
         elif isinstance(t, Tensor):
-            walk(t.left, flips)
-            walk(t.right, flips)
+            walk(t.left, flips, both)
+            walk(t.right, flips, both)
         elif isinstance(t, (Bang, S.Forall)):
-            walk(t.body, flips)
+            walk(t.body, flips, both)
+        elif isinstance(t, TyConst):
+            for a in t.args:
+                walk(a, flips, True)
 
     walk(ty, 0)
     return Polarity(any(signs), any(not s for s in signs))
+
+
+def gen_type_with_consts(rng, xi, depth):
+    """Random types over xi whose nodes include constants applied to up
+    to two arguments."""
+    if depth <= 0 or rng.random() < 0.2:
+        return TyVar(rng.choice(xi)) if rng.random() < 0.6 else Unit()
+    sub = lambda: gen_type_with_consts(rng, xi, depth - 1)
+    k = rng.randrange(5)
+    if k == 0:
+        return Lolli(sub(), sub())
+    if k == 1:
+        return Tensor(sub(), sub())
+    if k == 2:
+        return Bang(sub())
+    if k == 3:
+        return TyConst("c", tuple(sub() for _ in range(rng.randrange(3))))
+    a = f"t{rng.randrange(1000)}"
+    return S.forall(a, gen_type_with_consts(rng, xi + [a], depth - 1))
 
 
 class TestPolarity:
@@ -61,6 +84,23 @@ class TestPolarity:
         for _ in range(300):
             ty = gen_type(rng, ["a", "b"], 4)
             assert polarity(ty, "a") == occurrences_oracle(ty, "a")
+
+    def test_variance_fuzz_against_oracle_with_constants(self):
+        rng = random.Random(54)
+        for _ in range(300):
+            ty = gen_type_with_consts(rng, ["a", "b", "c"], 4)
+            got = variance(ty)
+            assert list(got) == S.free_type_names(ty)
+            assert got == {n: occurrences_oracle(ty, n) for n in got}
+            assert polarity(ty, "z") == Polarity(False, False)
+
+    def test_deep_chain_does_not_recurse(self):
+        ty = TyVar("a")
+        for _ in range(5000):
+            ty = Lolli(ty, TyVar("b"))
+        assert polarity(ty, "a") == Polarity(True, False)
+        assert variance(ty) == {"a": Polarity(True, False),
+                                "b": Polarity(True, True)}
 
 
 class TestSplit:

@@ -163,3 +163,20 @@ def test_one_frame_per_binder(build, depth, head):
     out = pp(build(depth))
     assert out.startswith(head)
     assert out.count(". ") == depth
+
+
+def test_a_thousand_binders_of_one_hint_are_numbered_in_order():
+    """A thousand binders hinted `a` in scope at once are named a, a1,
+    ..., a999; the printer's scope stack is driven directly, as a chain
+    that deep exceeds the default recursion limit when printed."""
+    from pilly.pretty import _TY, _Printer
+    printer = _Printer(Star(), False)
+    names = [printer.push(_TY, "a") for _ in range(1000)]
+    assert names == ["a"] + [f"a{i}" for i in range(1, 1000)]
+
+
+def test_suffix_freed_by_a_closed_scope_is_reused():
+    inner = Forall("a", Forall("a", TyBound(0)))
+    node = Forall("a", Tensor(Tensor(inner, Forall("a", TyBound(0))), inner))
+    assert pp(node) == ("all a. (all a1. all a2. a2) * (all a1. a1) * "
+                        "(all a1. all a2. a2)")

@@ -232,6 +232,11 @@ class TestEqual:
         r = equal(loop, S.Star(), RewriteConfig(fuel=1))
         assert isinstance(r, Unknown) and r.reason == "fuel"
 
+    def test_unknown_fuel_while_unrolling(self):
+        om = parse_term("Y [I] !(lam x:I. x)")
+        r = equal(om, S.Star(), RewriteConfig(fuel=1, y_unroll=1))
+        assert isinstance(r, Unknown) and r.reason == "fuel"
+
     def test_collapsing_unrolled_form_already_equal(self):
         # when the unrolled body beta-collapses, no budget is needed
         f = "(lam q:I -o I. q)"
@@ -393,12 +398,26 @@ class TestResumingNormalizer:
         assert nf == _eta_blocked_by(S.TensorPair(S.Bound(0), S.Var("z")))
         assert_like_step_loop(t)
 
-    def test_norm_term_keeps_the_fuel_cut_term(self, monkeypatch):
+    def test_prop_beta_fuel_cut_propagates_as_unknown(self, monkeypatch,
+                                                      tmp_path, capsys):
+        """A term prop_beta cannot normalize within its fuel raises the
+        cut, carrying the term after the last step, and `#schema`
+        reports it as unknown rather than passing the term on as normal."""
         from pilly import encodings as E
         from pilly import relations
+        from pilly.cli import main
         monkeypatch.setattr(relations, "_NF_CFG", RewriteConfig(fuel=7))
         t = E.numeral(5)
         want = t
         for _ in range(7):
             want = step(want)
-        assert relations._norm_term(t) == want
+        ty = infer_type(TermContext(), t).ty
+        with pytest.raises(FuelExhausted) as cut:
+            relations.prop_beta(S.InternalEq(ty, t, t))
+        assert cut.value.term == want
+        f = tmp_path / "cut.pilly"
+        f.write_text(f"term n5 = {pp(t)}\n#schema lrl n5\n")
+        assert main(["check", str(f)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1].startswith("[unknown] #schema ")
+        assert out[-1].endswith("-- fuel exhausted under a binder")

@@ -179,6 +179,24 @@ class TestRelSignature:
         assert dom == Lolli(Unit(), Unit())
         assert cod == Lolli(TyVar("t"), TyVar("t"))
 
+    def test_nested_folds_cost_one_call_per_level(self, monkeypatch):
+        """Each argument's signature is computed once, so a 30-deep fold
+        parses in 31 calls rather than 2**31."""
+        from pilly.parser import parse_file
+        real, calls = S.rel_signature, []
+
+        def counting(r):
+            calls.append(r)
+            assert len(calls) <= 100, "an argument's signature is recomputed"
+            return real(r)
+
+        monkeypatch.setattr(S, "rel_signature", counting)
+        src = ("rel R : Rel(I, I)\nrel G = " + "(a -o a)[" * 30 + "R"
+               + "]" * 30 + "\n")
+        prog, diags = parse_file(src)
+        assert not diags
+        assert len(calls) == 31
+
 
 # --- cached loose bounds: the bound-index maps skip subtrees they cannot
 # change; a walk with the skip turned off is the reference
